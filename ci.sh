@@ -23,6 +23,12 @@ EDSR_ISA=scalar cargo test -q --workspace
 echo "== cargo test -q --workspace (EDSR_ISA=auto) =="
 EDSR_ISA=auto cargo test -q --workspace
 
+echo "== perfbench tests (its own workspace) =="
+# The benchmark builds the crates by path from a separate workspace, so
+# the root workspace commands above never compile it: a crate API change
+# that breaks it would otherwise go unnoticed until the benchmark runs.
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "== deprecated-shim gate (RUSTFLAGS=-D deprecated) =="
 # New call sites must use the TaskSource API; the legacy `*_seq` shims
 # stay compilable but any un-annotated use of them fails the build.

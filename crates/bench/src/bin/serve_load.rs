@@ -15,7 +15,7 @@
 //! memory), so the numbers measure the serving stack — wire protocol,
 //! micro-batcher, eval-mode forward, kNN scan — not training.
 //! `EDSR_BENCH_QUICK=1` shrinks clients and request counts to a smoke
-//! run; `EDSR_SERVE_BATCH` / `EDSR_SERVE_WINDOW_US` tune the batcher.
+//! run; `EDSR_SERVE_BATCH` caps the batcher's flush size.
 
 use std::io::Write as _;
 use std::time::Instant;
@@ -191,11 +191,8 @@ fn main() -> Result<(), edsr_core::Error> {
     if let Some(n) = env_cfg.serve_batch {
         cfg.max_batch = n;
     }
-    if let Some(us) = env_cfg.serve_window_us {
-        cfg.window = std::time::Duration::from_micros(us);
-    }
     cfg.max_connections = clients.max(cfg.max_connections);
-    let (max_batch_cfg, window_us) = (cfg.max_batch, cfg.window.as_micros());
+    let max_batch_cfg = cfg.max_batch;
 
     // One trained model behind both backends, and both formats on disk
     // so the size row is measured, not estimated.
@@ -271,7 +268,7 @@ fn main() -> Result<(), edsr_core::Error> {
         "{{\n  \"clients\": {clients},\n  \"requests_per_client\": {requests},\n  \
          \"total_requests\": {total_requests},\n  \"reqs_per_s\": {reqs_per_s:.1},\n  \
          \"reqs_per_s_i8\": {reqs_per_s_i8:.1},\n  \
-         \"max_batch\": {max_batch_cfg},\n  \"window_us\": {window_us},\n  \
+         \"max_batch\": {max_batch_cfg},\n  \
          \"embed\": {{\"count\": {}, \"p50_us\": {:.1}, \"p99_us\": {:.1}}},\n  \
          \"knn\": {{\"count\": {}, \"p50_us\": {:.1}, \"p99_us\": {:.1}}},\n  \
          \"embed_i8\": {{\"count\": {}, \"p50_us\": {:.1}, \"p99_us\": {:.1}}},\n  \

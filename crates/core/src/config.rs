@@ -17,7 +17,6 @@
 //! | observability mode | `--obs MODE` | `EDSR_OBS` | `off` |
 //! | metrics path | `--obs-path PATH` | `EDSR_OBS_PATH` | `metrics.jsonl` |
 //! | serve batch cap | `--serve-batch N` | `EDSR_SERVE_BATCH` | server default |
-//! | serve window (µs) | `--serve-window-us N` | `EDSR_SERVE_WINDOW_US` | server default |
 //! | serve rotation poll (ms) | `--serve-rotate-ms N` | `EDSR_SERVE_ROTATE_MS` | server default |
 //! | serve deadline (ms, 0 = off) | `--serve-deadline-ms N` | `EDSR_SERVE_DEADLINE_MS` | off |
 //! | serve queue cap | `--serve-queue N` | `EDSR_SERVE_QUEUE` | server default |
@@ -63,9 +62,6 @@ pub struct EnvConfig {
     pub obs_path: PathBuf,
     /// Micro-batcher flush size for `edsr serve` (`None` = server default).
     pub serve_batch: Option<usize>,
-    /// Micro-batcher coalescing window in microseconds for `edsr serve`
-    /// (`None` = server default).
-    pub serve_window_us: Option<u64>,
     /// Snapshot-rotation poll interval in milliseconds for `edsr serve`
     /// (`None` = server default; rotation itself is enabled by serving a
     /// snapshot *directory* rather than a single file).
@@ -117,7 +113,6 @@ impl Default for EnvConfig {
             obs: ObsMode::Off,
             obs_path: PathBuf::from("metrics.jsonl"),
             serve_batch: None,
-            serve_window_us: None,
             serve_rotate_ms: None,
             serve_deadline_ms: None,
             serve_queue: None,
@@ -179,9 +174,6 @@ impl EnvConfig {
         }
         if let Some(v) = env("EDSR_SERVE_BATCH") {
             cfg.serve_batch = Some(parse_count("EDSR_SERVE_BATCH", &v)?);
-        }
-        if let Some(v) = env("EDSR_SERVE_WINDOW_US") {
-            cfg.serve_window_us = Some(parse_window("EDSR_SERVE_WINDOW_US", &v)?);
         }
         if let Some(v) = env("EDSR_SERVE_ROTATE_MS") {
             cfg.serve_rotate_ms = Some(parse_ms_nonzero("EDSR_SERVE_ROTATE_MS", &v)?);
@@ -249,10 +241,6 @@ impl EnvConfig {
                 "--serve-batch" => {
                     let v = value(&mut it)?;
                     cfg.serve_batch = Some(parse_count("--serve-batch", &v)?);
-                }
-                "--serve-window-us" => {
-                    let v = value(&mut it)?;
-                    cfg.serve_window_us = Some(parse_window("--serve-window-us", &v)?);
                 }
                 "--serve-rotate-ms" => {
                     let v = value(&mut it)?;
@@ -342,13 +330,6 @@ fn parse_count(source: &str, value: &str) -> Result<usize, String> {
         Ok(n) if n >= 1 => Ok(n),
         _ => Err(format!("{source}: expected a count >= 1, got {value:?}")),
     }
-}
-
-fn parse_window(source: &str, value: &str) -> Result<u64, String> {
-    value
-        .trim()
-        .parse::<u64>()
-        .map_err(|_| format!("{source}: expected microseconds (u64), got {value:?}"))
 }
 
 fn parse_ms(source: &str, value: &str) -> Result<u64, String> {
@@ -497,21 +478,6 @@ mod tests {
         assert!(EnvConfig::resolve(no_env, &args(&["--serve-batch", "0"])).is_err());
         let bad = |k: &str| (k == "EDSR_SERVE_BATCH").then(|| "lots".to_string());
         assert!(EnvConfig::resolve(bad, &[]).is_err());
-    }
-
-    #[test]
-    fn serve_window_cli_beats_env_and_validates() {
-        let env = |k: &str| (k == "EDSR_SERVE_WINDOW_US").then(|| "250".to_string());
-        let cfg = EnvConfig::resolve(env, &args(&["--serve-window-us=1000"])).unwrap();
-        assert_eq!(cfg.serve_window_us, Some(1000));
-        assert_eq!(
-            EnvConfig::resolve(env, &[]).unwrap().serve_window_us,
-            Some(250)
-        );
-        // Zero is a valid window: flush immediately once a request lands.
-        let cfg = EnvConfig::resolve(no_env, &args(&["--serve-window-us", "0"])).unwrap();
-        assert_eq!(cfg.serve_window_us, Some(0));
-        assert!(EnvConfig::resolve(no_env, &args(&["--serve-window-us", "-5"])).is_err());
     }
 
     #[test]

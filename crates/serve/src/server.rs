@@ -1,16 +1,18 @@
 //! Dynamic micro-batching queue and the blocking TCP server.
 //!
-//! ## Batching window semantics
+//! ## Batching semantics
 //!
 //! Embed requests enqueue onto one shared queue and block on a
-//! per-submitter slot. A dedicated batcher thread flushes the queue when
-//! either **max batch size** requests are waiting or the **batching
-//! window** has elapsed since the *oldest* queued request arrived —
-//! whichever comes first. A flush drains up to `max_batch` requests,
-//! groups them by task, and answers each group with one
-//! [`Engine::embed_rows`] call, so concurrent clients share a single
-//! batched forward. Because the forward computes rows independently,
-//! coalescing never changes any individual answer.
+//! per-submitter slot. A dedicated batcher thread batches continuously,
+//! with no timer: whenever it is free it drains whatever is queued, up
+//! to **max batch size** requests, and flushes at once. A lone request
+//! on an idle server is therefore answered by a batch of one without
+//! waiting for company; under load, requests pile up while a forward
+//! runs and the next flush coalesces them. A flush groups its requests
+//! by task and answers each group with one [`Engine::embed_rows`] call,
+//! so concurrent clients share a single batched forward. Because the
+//! forward computes rows independently, coalescing never changes any
+//! individual answer.
 //!
 //! The submit path and the flush path recycle every buffer they touch
 //! (slot state, staging matrix, drained-batch vector), so a warm
@@ -71,6 +73,9 @@ use crate::ServeError;
 pub const REJECT_DEADLINE: u64 = 0;
 /// Obs index for `serve/rejected` counters shed by the bounded queue.
 pub const REJECT_OVERLOAD: u64 = 1;
+/// Retry-after hint carried by an overload shed: a free batcher drains a
+/// whole flush within one forward, well under a millisecond.
+pub const OVERLOAD_RETRY_AFTER_MS: u32 = 1;
 
 fn lock<'a, T>(m: &'a Mutex<T>) -> MutexGuard<'a, T> {
     m.lock().unwrap_or_else(|e| e.into_inner())
@@ -101,10 +106,8 @@ pub struct RotateConfig {
 /// Server/batcher tuning knobs.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
-    /// Flush the micro-batch queue at this many waiting requests.
+    /// Most queued requests one flush drains and answers together.
     pub max_batch: usize,
-    /// ... or once the oldest waiting request is this old.
-    pub window: Duration,
     /// Concurrent connections the accept pool admits; further clients
     /// queue in the listen backlog. Each connection is a blocking
     /// request–response loop, so this doubles as the per-connection
@@ -135,7 +138,6 @@ impl Default for ServerConfig {
     fn default() -> Self {
         Self {
             max_batch: 8,
-            window: Duration::from_micros(500),
             max_connections: 8,
             deadline: None,
             queue_cap: 1024,
@@ -209,7 +211,6 @@ struct BatchShared {
     queue_cv: Condvar,
     stop: AtomicBool,
     max_batch: usize,
-    window: Duration,
     deadline: Option<Duration>,
     queue_cap: usize,
     rotate_mx: Mutex<()>,
@@ -236,12 +237,9 @@ pub enum SubmitError {
     Rejected(String),
     /// The request aged past [`ServerConfig::deadline`] in the queue.
     DeadlineExceeded,
-    /// The bounded submit queue is full; the request was shed.
-    Overloaded {
-        /// Suggested wait before retrying (the batching window: one
-        /// flush from now the queue has drained at least one batch).
-        retry_after_ms: u32,
-    },
+    /// The bounded submit queue is full; the request was shed. Retry
+    /// after [`OVERLOAD_RETRY_AFTER_MS`].
+    Overloaded,
 }
 
 impl std::fmt::Display for SubmitError {
@@ -250,8 +248,11 @@ impl std::fmt::Display for SubmitError {
             SubmitError::ShuttingDown => write!(f, "server is shutting down"),
             SubmitError::Rejected(msg) => write!(f, "{msg}"),
             SubmitError::DeadlineExceeded => write!(f, "request deadline exceeded in batch queue"),
-            SubmitError::Overloaded { retry_after_ms } => {
-                write!(f, "server overloaded, retry after {retry_after_ms} ms")
+            SubmitError::Overloaded => {
+                write!(
+                    f,
+                    "server overloaded, retry after {OVERLOAD_RETRY_AFTER_MS} ms"
+                )
             }
         }
     }
@@ -262,10 +263,9 @@ impl std::error::Error for SubmitError {}
 impl Batcher {
     /// Starts the batcher thread over `engine` with default deadline and
     /// queue-bound settings.
-    pub fn new(engine: Engine, max_batch: usize, window: Duration) -> Self {
+    pub fn new(engine: Engine, max_batch: usize) -> Self {
         let cfg = ServerConfig {
             max_batch,
-            window,
             ..ServerConfig::default()
         };
         Self::with_config(engine, &cfg)
@@ -281,7 +281,6 @@ impl Batcher {
             queue_cv: Condvar::new(),
             stop: AtomicBool::new(false),
             max_batch,
-            window: cfg.window,
             deadline: cfg.deadline,
             queue_cap: cfg.queue_cap.max(1),
             rotate_mx: Mutex::new(()),
@@ -321,14 +320,10 @@ impl Batcher {
         }
     }
 
-    /// The engine, for knn/stats calls that bypass the embed queue.
-    fn engine(&self) -> MutexGuard<'_, Engine> {
-        lock(&self.shared.engine)
-    }
-
-    /// Runs `f` under the engine lock.
+    /// Runs `f` under the engine lock. No flush can run meanwhile, so
+    /// embed requests submitted from other threads stay queued.
     pub fn with_engine<R>(&self, f: impl FnOnce(&mut Engine) -> R) -> R {
-        f(&mut self.engine())
+        f(&mut lock(&self.shared.engine))
     }
 
     /// Batches flushed, requests coalesced, and the largest batch so far.
@@ -357,13 +352,17 @@ impl Batcher {
     /// this fail with [`SubmitError::ShuttingDown`]; knn/stats through
     /// [`with_engine`](Self::with_engine) keep working.
     pub fn stop(&mut self) {
-        self.stop_worker();
-    }
-
-    fn stop_worker(&mut self) {
-        self.shared.stop.store(true, Ordering::SeqCst);
-        self.shared.queue_cv.notify_all();
-        self.shared.rotate_cv.notify_all();
+        // Set and signal under each waiter's lock, so neither the batcher
+        // nor the rotator can check the flag and then miss the wakeup.
+        {
+            let _q = lock(&self.shared.queue);
+            self.shared.stop.store(true, Ordering::SeqCst);
+            self.shared.queue_cv.notify_all();
+        }
+        {
+            let _r = lock(&self.shared.rotate_mx);
+            self.shared.rotate_cv.notify_all();
+        }
         if let Some(w) = self.worker.take() {
             let _ = w.join();
         }
@@ -375,7 +374,7 @@ impl Batcher {
 
 impl Drop for Batcher {
     fn drop(&mut self) {
-        self.stop_worker();
+        self.stop();
     }
 }
 
@@ -395,10 +394,27 @@ impl Submitter {
         input: &mut Vec<f32>,
         out: &mut Vec<f32>,
     ) -> Result<EmbedReport, SubmitError> {
+        // `stop` is only set under the queue lock, so checking it here
+        // means the batcher cannot exit between this check and the push.
+        let mut q = lock(&self.shared.queue);
         if self.shared.stop.load(Ordering::SeqCst) {
             return Err(SubmitError::ShuttingDown);
         }
+        if q.len() >= self.shared.queue_cap {
+            // Bounded queue: shed now instead of blocking forever.
+            drop(q);
+            self.shared
+                .stats
+                .rejected_overload
+                .fetch_add(1, Ordering::Relaxed);
+            if edsr_obs::enabled() {
+                edsr_obs::counter_at("serve/rejected", REJECT_OVERLOAD, 1);
+            }
+            return Err(SubmitError::Overloaded);
+        }
         {
+            // Lock order queue → slot is safe: the batcher never takes
+            // the queue lock while it holds a slot lock.
             let mut inner = lock(&self.slot.inner);
             debug_assert_eq!(inner.phase, Phase::Idle, "slot reused while in flight");
             inner.task = task;
@@ -407,33 +423,9 @@ impl Submitter {
             std::mem::swap(&mut inner.out, out);
             inner.phase = Phase::Queued;
         }
-        // Lock order: a submitter never holds its slot lock while taking
-        // the queue lock (the batcher acquires queue → slot).
-        {
-            let mut q = lock(&self.shared.queue);
-            if q.len() >= self.shared.queue_cap {
-                // Bounded queue: shed now instead of blocking forever.
-                // The hint is one batching window — by then the batcher
-                // has drained at least one flush from the backlog.
-                drop(q);
-                let mut inner = lock(&self.slot.inner);
-                inner.phase = Phase::Idle;
-                std::mem::swap(&mut inner.input, input);
-                std::mem::swap(&mut inner.out, out);
-                self.shared
-                    .stats
-                    .rejected_overload
-                    .fetch_add(1, Ordering::Relaxed);
-                if edsr_obs::enabled() {
-                    edsr_obs::counter_at("serve/rejected", REJECT_OVERLOAD, 1);
-                }
-                return Err(SubmitError::Overloaded {
-                    retry_after_ms: (self.shared.window.as_millis() as u32).max(1),
-                });
-            }
-            q.push_back(Arc::clone(&self.slot));
-            self.shared.queue_cv.notify_all();
-        }
+        q.push_back(Arc::clone(&self.slot));
+        self.shared.queue_cv.notify_one();
+        drop(q);
         let mut inner = lock(&self.slot.inner);
         while inner.phase == Phase::Queued {
             inner = self.slot.cv.wait(inner).unwrap_or_else(|e| e.into_inner());
@@ -445,7 +437,6 @@ impl Submitter {
         inner.phase = Phase::Idle;
         if failed {
             match inner.code {
-                ERR_SHUTTING_DOWN => Err(SubmitError::ShuttingDown),
                 ERR_DEADLINE => Err(SubmitError::DeadlineExceeded),
                 _ => Err(SubmitError::Rejected(std::mem::take(&mut inner.error))),
             }
@@ -455,7 +446,8 @@ impl Submitter {
     }
 }
 
-/// The batcher thread: wait for work, honour the batching window, flush.
+/// The batcher thread: sleep until work arrives, then drain up to
+/// `max_batch` queued requests and flush them at once.
 fn batch_worker(shared: &BatchShared) {
     let mut batch: Vec<Arc<Slot>> = Vec::with_capacity(shared.max_batch);
     let mut order: Vec<usize> = Vec::with_capacity(shared.max_batch);
@@ -463,38 +455,11 @@ fn batch_worker(shared: &BatchShared) {
     let mut staging = Matrix::zeros(0, 0);
     loop {
         let mut q = lock(&shared.queue);
-        loop {
-            if !q.is_empty() {
-                break;
-            }
+        while q.is_empty() {
             if shared.stop.load(Ordering::SeqCst) {
                 return; // queue drained, safe to exit
             }
-            let (guard, _) = shared
-                .queue_cv
-                .wait_timeout(q, Duration::from_millis(5))
-                .unwrap_or_else(|e| e.into_inner());
-            q = guard;
-        }
-        // Window: flush when full, when the oldest request ages out, or
-        // immediately when draining for shutdown.
-        if !shared.stop.load(Ordering::SeqCst) {
-            let deadline = {
-                let front = q.front().expect("non-empty");
-                let enqueued = lock(&front.inner).enqueued;
-                enqueued + shared.window
-            };
-            while q.len() < shared.max_batch && !shared.stop.load(Ordering::SeqCst) {
-                let now = Instant::now();
-                if now >= deadline {
-                    break;
-                }
-                let (guard, _) = shared
-                    .queue_cv
-                    .wait_timeout(q, deadline - now)
-                    .unwrap_or_else(|e| e.into_inner());
-                q = guard;
-            }
+            q = shared.queue_cv.wait(q).unwrap_or_else(|e| e.into_inner());
         }
         let n = q.len().min(shared.max_batch);
         batch.clear();
@@ -515,9 +480,6 @@ fn flush(
     staging: &mut Matrix,
 ) {
     let n = batch.len();
-    if n == 0 {
-        return;
-    }
     done.clear();
     done.resize(n, false);
     // Deadline shedding happens before the engine lock: an expired
@@ -727,6 +689,9 @@ fn rotation_worker(shared: &BatchShared, cfg: RotateConfig) {
     loop {
         {
             let guard = lock(&shared.rotate_mx);
+            if shared.stop.load(Ordering::SeqCst) {
+                return;
+            }
             let _ = shared
                 .rotate_cv
                 .wait_timeout(guard, cfg.poll)
@@ -789,6 +754,11 @@ impl ServeHandle {
     /// The bound address (useful with ephemeral port 0).
     pub fn addr(&self) -> SocketAddr {
         self.addr
+    }
+
+    /// Runs `f` under the engine lock (see [`Batcher::with_engine`]).
+    pub fn with_engine<R>(&self, f: impl FnOnce(&mut Engine) -> R) -> R {
+        f(&mut lock(&self.shared.batch.engine))
     }
 
     /// Asks the server to drain and stop (same as a wire shutdown).
@@ -909,7 +879,7 @@ fn accept_loop(
     for h in handlers {
         let _ = h.join();
     }
-    batcher.stop_worker();
+    batcher.stop();
     let (batches, batched_requests, max_batch) = batcher.stats();
     let (rejected_deadline, rejected_overload) = batcher.rejected();
     let rotations = batcher.rotations();
@@ -1105,9 +1075,9 @@ fn answer(
                     retry_after_ms: 0,
                     message: "request deadline exceeded in batch queue".into(),
                 },
-                Err(SubmitError::Overloaded { retry_after_ms }) => Response::Error {
+                Err(SubmitError::Overloaded) => Response::Error {
                     code: ERR_OVERLOADED,
-                    retry_after_ms,
+                    retry_after_ms: OVERLOAD_RETRY_AFTER_MS,
                     message: "server overloaded, submit queue full".into(),
                 },
                 Err(SubmitError::Rejected(message)) => Response::Error {
@@ -1195,7 +1165,7 @@ mod tests {
 
     #[test]
     fn batcher_answers_and_reports_errors() {
-        let batcher = Batcher::new(engine(), 4, Duration::from_micros(100));
+        let batcher = Batcher::new(engine(), 4);
         let mut sub = batcher.submitter();
         let mut input: Vec<f32> = (0..16).map(|i| i as f32 * 0.1).collect();
         let mut out = Vec::new();
@@ -1220,43 +1190,72 @@ mod tests {
             other => panic!("expected rejection, got {other:?}"),
         }
 
-        let (batches, reqs, max_batch) = batcher.stats();
-        assert!(batches >= 2);
-        assert_eq!(reqs, 3);
-        assert!(max_batch >= 1);
+        // An idle batcher flushes each lone request at once.
+        assert_eq!(batcher.stats(), (3, 3, 1));
         assert_eq!(batcher.with_engine(|e| e.cache_hits()), 1);
     }
 
+    type EmbedOutcome = (Vec<f32>, Result<Vec<f32>, SubmitError>);
+
+    /// One embed of input `c` on its own submitter thread.
+    fn spawn_embed(batcher: &Batcher, c: usize) -> std::thread::JoinHandle<EmbedOutcome> {
+        let mut sub = batcher.submitter();
+        std::thread::spawn(move || {
+            let mut input: Vec<f32> = (0..16).map(|i| (i + c) as f32 * 0.05).collect();
+            let mut out = Vec::new();
+            let result = sub.embed(0, &mut input, &mut out).map(|_| out);
+            (input, result)
+        })
+    }
+
+    /// Polls `cond` every millisecond; panics after 10 s.
+    fn wait_until(what: &str, cond: impl Fn() -> bool) {
+        let give_up = Instant::now() + Duration::from_secs(10);
+        while !cond() {
+            assert!(Instant::now() < give_up, "timed out waiting for {what}");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
+    /// Holds the engine so the flush answering input 0 stalls, queues
+    /// inputs `1..=n` behind it, runs `f` while they wait, then lets
+    /// everything through. Returns each input and its outcome, in order.
+    fn queue_behind_stalled_flush(
+        batcher: &Batcher,
+        n: usize,
+        f: impl FnOnce(),
+    ) -> Vec<EmbedOutcome> {
+        let handles = batcher.with_engine(|_| {
+            let mut handles = vec![spawn_embed(batcher, 0)];
+            wait_until("the first flush", || batcher.stats().0 == 1);
+            handles.extend((1..=n).map(|c| spawn_embed(batcher, c)));
+            wait_until("the queued requests", || {
+                lock(&batcher.shared.queue).len() == n
+            });
+            f();
+            handles
+        });
+        handles.into_iter().map(|h| h.join().unwrap()).collect()
+    }
+
     #[test]
-    fn concurrent_submitters_coalesce_into_one_batch() {
+    fn requests_queued_behind_a_flush_coalesce_into_one_batch() {
         let n = 4;
-        // A long window so all submitters land in one flush once the
-        // batch fills to exactly n.
-        let batcher = Arc::new(Batcher::new(engine(), n, Duration::from_secs(5)));
-        let results: Vec<_> = (0..n)
-            .map(|c| {
-                let b = Arc::clone(&batcher);
-                std::thread::spawn(move || {
-                    let mut sub = b.submitter();
-                    let mut input: Vec<f32> = (0..16).map(|i| (i + c) as f32 * 0.05).collect();
-                    let mut out = Vec::new();
-                    sub.embed(0, &mut input, &mut out).expect("valid");
-                    (input, out)
-                })
-            })
-            .collect();
-        let outs: Vec<(Vec<f32>, Vec<f32>)> =
-            results.into_iter().map(|h| h.join().unwrap()).collect();
+        let batcher = Batcher::new(engine(), n);
+        // No timer: the n requests that pile up while a flush holds the
+        // engine are all answered by the next flush.
+        let outs = queue_behind_stalled_flush(&batcher, n, || {});
         let (batches, reqs, max_batch) = batcher.stats();
-        assert_eq!(reqs, n as u64);
-        assert_eq!(max_batch, n as u64, "all requests coalesced");
-        assert_eq!(batches, 1);
+        assert_eq!(reqs, n as u64 + 1);
+        assert_eq!(batches, 2, "queued requests split across flushes");
+        assert_eq!(max_batch, n as u64, "queued requests did not coalesce");
 
         // Each coalesced answer matches a direct single-input embed.
         let mut solo = engine();
-        for (input, got) in &outs {
+        for (input, got) in outs {
+            let got = got.expect("valid embed");
             let mut want = Vec::new();
-            solo.embed_into(0, input, &mut want).unwrap();
+            solo.embed_into(0, &input, &mut want).unwrap();
             assert_eq!(
                 want.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
                 got.iter().map(|x| x.to_bits()).collect::<Vec<_>>()
@@ -1266,55 +1265,37 @@ mod tests {
 
     #[test]
     fn full_queue_sheds_with_overloaded_and_retry_hint() {
-        // Two queued requests saturate queue_cap; the window is long
-        // enough that they are still queued when the third submits.
         let cfg = ServerConfig {
             max_batch: 64,
-            window: Duration::from_millis(400),
             queue_cap: 2,
             ..ServerConfig::default()
         };
-        let batcher = Arc::new(Batcher::with_config(engine(), &cfg));
-        let blocked: Vec<_> = (0..2)
-            .map(|c| {
-                let b = Arc::clone(&batcher);
-                std::thread::spawn(move || {
-                    let mut sub = b.submitter();
-                    let mut input: Vec<f32> = (0..16).map(|i| (i + c) as f32 * 0.05).collect();
-                    let mut out = Vec::new();
-                    sub.embed(0, &mut input, &mut out)
-                })
-            })
-            .collect();
-        // Give both background submitters time to enqueue.
-        std::thread::sleep(Duration::from_millis(100));
-        let mut sub = batcher.submitter();
-        let mut input: Vec<f32> = (0..16).map(|i| i as f32 * 0.1).collect();
-        let mut out = Vec::new();
-        match sub.embed(0, &mut input, &mut out) {
-            Err(SubmitError::Overloaded { retry_after_ms }) => {
-                assert!(retry_after_ms >= 1, "hint must be non-zero");
+        let batcher = Batcher::with_config(engine(), &cfg);
+        // Two requests queued behind a stalled flush fill queue_cap, so
+        // the next submit is shed at once instead of waiting.
+        let outs = queue_behind_stalled_flush(&batcher, 2, || {
+            let mut sub = batcher.submitter();
+            let mut input: Vec<f32> = (0..16).map(|i| i as f32 * 0.1).collect();
+            let mut out = Vec::new();
+            match sub.embed(0, &mut input, &mut out) {
+                Err(SubmitError::Overloaded) => {}
+                other => panic!("expected overload shed, got {other:?}"),
             }
-            other => panic!("expected overload shed, got {other:?}"),
-        }
-        assert_eq!(input.len(), 16, "input buffer handed back on shed");
-        for worker in blocked {
-            worker
-                .join()
-                .expect("thread")
-                .expect("queued requests still answered");
+            assert_eq!(input.len(), 16, "input buffer handed back on shed");
+        });
+        for (_, result) in outs {
+            result.expect("queued requests still answered");
         }
         assert_eq!(batcher.rejected().1, 1);
     }
 
     #[test]
     fn queued_requests_past_deadline_fail_with_deadline_exceeded() {
-        // The window keeps the request queued for ~80 ms while the
-        // deadline expires after 1 ms: the flush must shed it.
+        // A 1 ns deadline has always passed by the time the batcher
+        // drains the request: the flush must shed it.
         let cfg = ServerConfig {
             max_batch: 64,
-            window: Duration::from_millis(80),
-            deadline: Some(Duration::from_millis(1)),
+            deadline: Some(Duration::from_nanos(1)),
             ..ServerConfig::default()
         };
         let batcher = Batcher::with_config(engine(), &cfg);
@@ -1327,6 +1308,37 @@ mod tests {
         }
         assert_eq!(batcher.rejected().0, 1);
         assert_eq!(batcher.stats().0, 0, "expired request must not flush");
+    }
+
+    #[test]
+    fn submits_racing_stop_get_an_answer_or_shutting_down() {
+        // A submit that passes the stop check just as the batcher sees an
+        // empty queue and exits must be refused, never left waiting.
+        for round in 0..1000 {
+            let mut batcher = Batcher::new(engine(), 4);
+            let (tx, rx) = std::sync::mpsc::channel();
+            for c in 0..4 {
+                let mut sub = batcher.submitter();
+                let tx = tx.clone();
+                std::thread::spawn(move || {
+                    let (mut input, mut out) = (vec![0.1 * c as f32; 16], Vec::new());
+                    let err = loop {
+                        if let Err(e) = sub.embed(0, &mut input, &mut out) {
+                            break e;
+                        }
+                    };
+                    let _ = tx.send(err);
+                });
+            }
+            std::thread::sleep(Duration::from_micros(50 * (round % 8)));
+            batcher.stop();
+            for _ in 0..4 {
+                let err = rx
+                    .recv_timeout(Duration::from_secs(10))
+                    .expect("a submit racing stop() was never answered");
+                assert!(matches!(err, SubmitError::ShuttingDown), "{err}");
+            }
+        }
     }
 
     #[test]
@@ -1347,7 +1359,7 @@ mod tests {
         };
         let first = save(100, "rot.task0001.snapshot");
 
-        let mut batcher = Batcher::new(engine_seeded(100), 4, Duration::from_micros(100));
+        let mut batcher = Batcher::new(engine_seeded(100), 4);
         batcher.start_rotation(RotateConfig {
             dir: dir.clone(),
             poll: Duration::from_millis(5),

@@ -37,8 +37,7 @@
 //!          (the latest valid snapshot in it is served)
 //!          --port N            TCP port (default 7878; 0 = ephemeral)
 //!          --cache N           embedding-cache capacity (default 1024)
-//!          --serve-batch N     micro-batch flush size
-//!          --serve-window-us N micro-batch coalescing window
+//!          --serve-batch N     most requests one micro-batch flush answers
 //!          --quantized         serve on the int8 backend (quantizes v1
 //!                              snapshots in-process; EDSR_SERVE_QUANT)
 //!
@@ -61,10 +60,10 @@
 //! ```
 //!
 //! `--threads`, `--isa`, `--checkpoint`, `--resume`, `--obs`,
-//! `--obs-path`, `--serve-batch` and `--serve-window-us` also read
+//! `--obs-path` and `--serve-batch` also read
 //! `EDSR_THREADS` / `EDSR_ISA` / `EDSR_CHECKPOINT` / `EDSR_RESUME` /
-//! `EDSR_OBS` / `EDSR_OBS_PATH` / `EDSR_SERVE_BATCH` /
-//! `EDSR_SERVE_WINDOW_US`; the CLI flag wins ([`EnvConfig`] precedence).
+//! `EDSR_OBS` / `EDSR_OBS_PATH` / `EDSR_SERVE_BATCH`; the CLI flag wins
+//! ([`EnvConfig`] precedence).
 //!
 //! Every failure (bad flag, divergence after retries, checkpoint
 //! corruption) surfaces as a structured error with a non-zero exit, not
@@ -89,7 +88,7 @@ use edsr::tensor::rng::seeded;
 
 fn usage() -> ! {
     eprintln!(
-        "usage:\n  edsr presets\n  edsr run <preset> <method> [--seed N] [--epochs N] [--memory N] [--threads N] [--isa L] [--save PATH] [--checkpoint DIR] [--resume] [--serve-snapshot DIR] [--quantize] [--obs MODE] [--obs-path PATH]\n  edsr tabular <method> [--seed N] [--epochs N] [--threads N]\n  edsr metrics [PATH]\n  edsr serve <SNAPSHOT-FILE-or-DIR> [--port N] [--cache N] [--serve-batch N] [--serve-window-us N]\n             [--serve-rotate-ms N] [--serve-deadline-ms N] [--serve-queue N]\n             [--serve-read-timeout-ms N] [--serve-stall-ms N] [--quantized] [--chaos-seed N]\n  edsr query <ADDR> embed --input F,F,... [--task N] [--retries N] [--retry-rejections]\n  edsr query <ADDR> knn --input F,F,... [--k N] [--metric euclidean|cosine] [--retries N]\n  edsr query <ADDR> stats | shutdown\n  edsr ps <preset> <method> [--seed N] [--epochs N] [--memory N] [--save PATH]\n          [--dist-addr A] [--dist-workers N] [--dist-push-timeout-ms N] [--dist-sparse-threshold F]\n  edsr worker <ADDR>   (or --dist-addr / EDSR_DIST_ADDR)\n  edsr scenario list [--seed N]\n  edsr scenario write <name> <dir> [--seed N]\n  edsr scenario run <name> <method> [--seed N] [--epochs N] [--stream DIR] [--save PATH]\n\npresets: cifar10 | cifar100 | tiny-imagenet | domainnet | test\nmethods: finetune | si | der | lump | cassle | edsr | compemb | r2r | multitask\nscenarios: class-incremental | blurry | domain-incremental | long-tail\n\n--threads (or EDSR_THREADS) sets the compute thread count; results are\nbit-identical at any value (DESIGN.md \u{a7}9). 1 = pure serial.\n--isa (or EDSR_ISA) pins the SIMD kernel level: auto | scalar | avx2 |\navx512; results are bit-identical at any level (DESIGN.md \u{a7}15).\n--obs jsonl (or EDSR_OBS=jsonl) streams spans and metrics to --obs-path.\n--serve-snapshot (with `run`) exports a model+memory snapshot per task\nthat `edsr serve` loads read-only (DESIGN.md \u{a7}12).\n`edsr ps` + N×`edsr worker` reproduce `edsr run` bit-identically over\nTCP (DESIGN.md \u{a7}14)."
+        "usage:\n  edsr presets\n  edsr run <preset> <method> [--seed N] [--epochs N] [--memory N] [--threads N] [--isa L] [--save PATH] [--checkpoint DIR] [--resume] [--serve-snapshot DIR] [--quantize] [--obs MODE] [--obs-path PATH]\n  edsr tabular <method> [--seed N] [--epochs N] [--threads N]\n  edsr metrics [PATH]\n  edsr serve <SNAPSHOT-FILE-or-DIR> [--port N] [--cache N] [--serve-batch N] [--serve-rotate-ms N]\n             [--serve-deadline-ms N] [--serve-queue N]\n             [--serve-read-timeout-ms N] [--serve-stall-ms N] [--quantized] [--chaos-seed N]\n  edsr query <ADDR> embed --input F,F,... [--task N] [--retries N] [--retry-rejections]\n  edsr query <ADDR> knn --input F,F,... [--k N] [--metric euclidean|cosine] [--retries N]\n  edsr query <ADDR> stats | shutdown\n  edsr ps <preset> <method> [--seed N] [--epochs N] [--memory N] [--save PATH]\n          [--dist-addr A] [--dist-workers N] [--dist-push-timeout-ms N] [--dist-sparse-threshold F]\n  edsr worker <ADDR>   (or --dist-addr / EDSR_DIST_ADDR)\n  edsr scenario list [--seed N]\n  edsr scenario write <name> <dir> [--seed N]\n  edsr scenario run <name> <method> [--seed N] [--epochs N] [--stream DIR] [--save PATH]\n\npresets: cifar10 | cifar100 | tiny-imagenet | domainnet | test\nmethods: finetune | si | der | lump | cassle | edsr | compemb | r2r | multitask\nscenarios: class-incremental | blurry | domain-incremental | long-tail\n\n--threads (or EDSR_THREADS) sets the compute thread count; results are\nbit-identical at any value (DESIGN.md \u{a7}9). 1 = pure serial.\n--isa (or EDSR_ISA) pins the SIMD kernel level: auto | scalar | avx2 |\navx512; results are bit-identical at any level (DESIGN.md \u{a7}15).\n--obs jsonl (or EDSR_OBS=jsonl) streams spans and metrics to --obs-path.\n--serve-snapshot (with `run`) exports a model+memory snapshot per task\nthat `edsr serve` loads read-only (DESIGN.md \u{a7}12).\n`edsr ps` + N×`edsr worker` reproduce `edsr run` bit-identically over\nTCP (DESIGN.md \u{a7}14)."
     );
     std::process::exit(2);
 }
@@ -400,9 +399,6 @@ fn cmd_serve(args: &[String], env_cfg: &EnvConfig) -> Result<(), Error> {
     if let Some(n) = env_cfg.serve_batch {
         cfg.max_batch = n;
     }
-    if let Some(us) = env_cfg.serve_window_us {
-        cfg.window = std::time::Duration::from_micros(us);
-    }
     if let Some(ms) = env_cfg.serve_deadline_ms {
         // 0 explicitly disables the deadline (the default).
         cfg.deadline = (ms > 0).then(|| std::time::Duration::from_millis(ms));
@@ -443,10 +439,10 @@ fn cmd_serve(args: &[String], env_cfg: &EnvConfig) -> Result<(), Error> {
         if engine.quantized() { "int8" } else { "f32" },
         snap_path.display()
     );
-    let (max_batch, window) = (cfg.max_batch, cfg.window);
+    let max_batch = cfg.max_batch;
     let handle = serve(engine, ("127.0.0.1", port), cfg).map_err(serve_err)?;
     println!(
-        "listening on {} (batch {max_batch}, window {window:?}) — stop with: edsr query {} shutdown",
+        "listening on {} (batch {max_batch}) — stop with: edsr query {} shutdown",
         handle.addr(),
         handle.addr()
     );

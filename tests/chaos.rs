@@ -210,11 +210,8 @@ fn overload_sheds_with_bounded_structured_errors_not_hangs() {
     let _guard = CHAOS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let clients = 4usize;
     let cfg = ServerConfig {
-        // One queue slot and a wide window: while the first request
-        // waits for its flush, everyone else must be shed immediately.
         queue_cap: 1,
         max_batch: 8,
-        window: Duration::from_millis(300),
         deadline: Some(Duration::from_millis(1500)),
         max_connections: clients + 1,
         ..ServerConfig::default()
@@ -222,7 +219,8 @@ fn overload_sheds_with_bounded_structured_errors_not_hangs() {
     let handle = serve(engine_for(31), ("127.0.0.1", 0), cfg).expect("bind");
     let addr = handle.addr();
 
-    let barrier = Arc::new(Barrier::new(clients));
+    // The test thread joins the barrier once it holds the engine.
+    let barrier = Arc::new(Barrier::new(clients + 1));
     let ok = Arc::new(AtomicU64::new(0));
     let shed = Arc::new(AtomicU64::new(0));
     let workers: Vec<_> = (0..clients)
@@ -254,7 +252,7 @@ fn overload_sheds_with_bounded_structured_errors_not_hangs() {
                     Err(other) => panic!("unexpected failure mode: {other}"),
                 }
                 // Bounded: shed answers come back well before
-                // deadline + window + grace, never as a hang.
+                // deadline + grace, never as a hang.
                 assert!(
                     start.elapsed() < Duration::from_secs(5),
                     "request neither answered nor shed in bounded time"
@@ -262,6 +260,17 @@ fn overload_sheds_with_bounded_structured_errors_not_hangs() {
             })
         })
         .collect();
+    // One queue slot behind a flush stalled on the held engine: at most
+    // two requests are accepted (one in that flush, one queued), so
+    // everyone else must be shed immediately.
+    handle.with_engine(|_| {
+        barrier.wait();
+        let give_up = Instant::now() + Duration::from_secs(10);
+        while shed.load(Ordering::SeqCst) < clients as u64 - 2 {
+            assert!(Instant::now() < give_up, "burst was never shed");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    });
     for w in workers {
         w.join().expect("worker");
     }

@@ -291,6 +291,18 @@ fn serve_engine(seed: u64) -> Engine {
     Engine::from_snapshot(serve_snapshot(seed), 16).unwrap()
 }
 
+/// Polls `cond` every millisecond; panics after 10 s.
+fn wait_until(what: &str, cond: impl Fn() -> bool) {
+    let give_up = std::time::Instant::now() + std::time::Duration::from_secs(10);
+    while !cond() {
+        assert!(
+            std::time::Instant::now() < give_up,
+            "timed out waiting for {what}"
+        );
+        std::thread::sleep(std::time::Duration::from_millis(1));
+    }
+}
+
 /// The serve robustness layer reports itself (DESIGN.md §13): shed
 /// requests land in `serve/rejected` indexed by reason, snapshot swaps
 /// in `serve/rotations` + a `serve/rotation_ms` histogram, and the
@@ -301,43 +313,45 @@ fn serve_chaos_counters_cover_rejections_rotations_and_retries() {
     let ring = RingSink::with_capacity(edsr::obs::DEFAULT_RING_CAPACITY);
     edsr::obs::install(Box::new(ring.clone()));
 
-    // --- Overload shed: a 1-slot queue with a wide window holds the
-    // first request; the second must be rejected while it waits.
+    // --- Overload shed: the first flush stalls on the held engine, so
+    // of the next two requests one fills the 1-slot queue and the other
+    // must be rejected.
     let cfg = ServerConfig {
         max_batch: 64,
-        window: std::time::Duration::from_millis(400),
         queue_cap: 1,
         ..ServerConfig::default()
     };
     let mut batcher = Batcher::with_config(serve_engine(80), &cfg);
-    let blocked = {
-        let mut sub = batcher.submitter();
-        std::thread::spawn(move || {
-            let mut input: Vec<f32> = (0..8).map(|i| i as f32 * 0.1).collect();
-            let mut out = Vec::new();
-            sub.embed(0, &mut input, &mut out).expect("queued embed")
-        })
-    };
-    std::thread::sleep(std::time::Duration::from_millis(100));
-    let mut sub = batcher.submitter();
-    let mut input: Vec<f32> = (0..8).map(|i| i as f32 * 0.2).collect();
-    let mut out = Vec::new();
-    match sub.embed(0, &mut input, &mut out) {
-        Err(SubmitError::Overloaded { .. }) => {}
-        other => panic!("expected overload shed, got {other:?}"),
-    }
-    blocked.join().expect("queued embed answered");
+    let handles = batcher.with_engine(|_| {
+        let spawn = |c: usize| {
+            let mut sub = batcher.submitter();
+            std::thread::spawn(move || sub.embed(0, &mut vec![0.1 * c as f32; 8], &mut Vec::new()))
+        };
+        let first = spawn(0);
+        wait_until("the first flush", || batcher.stats().0 == 1);
+        let handles = [first, spawn(1), spawn(2)];
+        wait_until("the overload shed", || batcher.rejected().1 == 1);
+        handles
+    });
+    let outcomes = handles.map(|h| h.join().unwrap());
+    let shed = outcomes
+        .iter()
+        .filter(|r| matches!(r, Err(SubmitError::Overloaded)))
+        .count();
+    assert_eq!(shed, 1, "expected one overload shed, got {outcomes:?}");
+    assert_eq!(outcomes.iter().filter(|r| r.is_ok()).count(), 2);
     batcher.stop();
 
-    // --- Deadline shed: a 1 ms deadline against an 80 ms window means
-    // the request is already expired when the flush examines it.
+    // --- Deadline shed: a 1 ns deadline has always passed by the time
+    // the batcher drains the request.
     let cfg = ServerConfig {
-        window: std::time::Duration::from_millis(80),
-        deadline: Some(std::time::Duration::from_millis(1)),
+        deadline: Some(std::time::Duration::from_nanos(1)),
         ..ServerConfig::default()
     };
     let mut batcher = Batcher::with_config(serve_engine(80), &cfg);
     let mut sub = batcher.submitter();
+    let mut input: Vec<f32> = (0..8).map(|i| i as f32 * 0.2).collect();
+    let mut out = Vec::new();
     match sub.embed(0, &mut input, &mut out) {
         Err(SubmitError::DeadlineExceeded) => {}
         other => panic!("expected deadline shed, got {other:?}"),

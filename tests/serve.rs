@@ -43,7 +43,6 @@ fn multi_client_responses_match_in_process_forward_and_knn() {
     let _guard = SERVE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let cfg = ServerConfig {
         max_batch: 4,
-        window: Duration::from_micros(300),
         max_connections: 8,
         ..ServerConfig::default()
     };
@@ -118,25 +117,45 @@ fn concurrent_clients_coalesce_and_obs_counters_prove_it() {
     edsr::obs::install(Box::new(ring.clone()));
 
     let n = 3usize;
-    // A wide window and max_batch == n: the flush happens exactly when
-    // all n concurrent requests have arrived.
     let cfg = ServerConfig {
         max_batch: n,
-        window: Duration::from_millis(500),
-        max_connections: n + 1,
+        max_connections: n + 2,
         ..ServerConfig::default()
     };
     let handle = serve(engine(), ("127.0.0.1", 0), cfg).expect("bind");
     let addr = handle.addr();
-    let workers: Vec<_> = (0..n)
-        .map(|c| {
-            std::thread::spawn(move || {
-                let mut client = Client::connect(addr).expect("connect");
-                let input: Vec<f32> = (0..DIM).map(|i| (i + c) as f32 * 0.05).collect();
-                client.embed(0, &input).expect("embed")
-            })
+    let embed_over_tcp = move |c: usize| {
+        std::thread::spawn(move || {
+            let mut client = Client::connect(addr).expect("connect");
+            let input: Vec<f32> = (0..DIM).map(|i| (i + c) as f32 * 0.05).collect();
+            client.embed(0, &input).expect("embed")
         })
-        .collect();
+    };
+    let wait_for = |kind: EventKind, name: &str, count: usize| {
+        let give_up = std::time::Instant::now() + Duration::from_secs(10);
+        let seen = || {
+            ring.events()
+                .iter()
+                .filter(|e| e.kind == kind && e.name == name)
+                .count()
+        };
+        while seen() < count {
+            assert!(std::time::Instant::now() < give_up, "no {count} x {name}");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    };
+    // Holding the engine stalls the first flush; the n requests sent
+    // meanwhile pile up in the queue and the next flush answers all of
+    // them with one batched forward.
+    let workers = handle.with_engine(|_| {
+        let mut workers = vec![embed_over_tcp(0)];
+        wait_for(EventKind::Counter, "serve/batches", 1);
+        workers.extend((1..=n).map(embed_over_tcp));
+        // A handler opens its request span just before it submits.
+        wait_for(EventKind::SpanEnter, "serve/request", n + 1);
+        std::thread::sleep(Duration::from_millis(50));
+        workers
+    });
     for w in workers {
         assert_eq!(w.join().expect("client").len(), engine().repr_dim());
     }
@@ -145,7 +164,7 @@ fn concurrent_clients_coalesce_and_obs_counters_prove_it() {
     let report = handle.join().expect("join");
     edsr::obs::uninstall();
 
-    assert_eq!(report.batches, 1, "requests split across flushes");
+    assert_eq!(report.batches, 2, "queued requests split across flushes");
     assert_eq!(report.max_batch, n as u64, "batch did not coalesce");
 
     // The same story must be visible from the outside via obs counters.
@@ -165,9 +184,9 @@ fn concurrent_clients_coalesce_and_obs_counters_prove_it() {
         .filter(|e| e.kind == EventKind::Histogram && e.name == "serve/batch_size")
         .map(|e| e.value)
         .collect();
-    assert_eq!(batches, 1.0);
-    assert_eq!(batched, n as f64);
-    assert_eq!(sizes, vec![n as f64]);
+    assert_eq!(batches, 2.0);
+    assert_eq!(batched, (n + 1) as f64);
+    assert_eq!(sizes, vec![1.0, n as f64]);
     // Per-request latency histograms cover every answered request.
     let latencies = events
         .iter()

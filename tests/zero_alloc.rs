@@ -148,7 +148,7 @@ fn serve_batcher(cache_capacity: usize) -> Batcher {
     let reprs = model.represent_eval(&mem, 0);
     let snap = ServeSnapshot::capture(&model, reprs, vec![0; 4], "za", 1).unwrap();
     let engine = Engine::from_snapshot(snap, cache_capacity).unwrap();
-    Batcher::new(engine, 2, Duration::from_micros(50))
+    Batcher::new(engine, 2)
 }
 
 #[test]
@@ -175,7 +175,6 @@ fn warm_serve_embed_is_alloc_free_on_hits_and_bounded_on_misses() {
     let engine = Engine::from_snapshot(snap, 8).unwrap();
     let cfg = ServerConfig {
         max_batch: 2,
-        window: Duration::from_micros(50),
         deadline: Some(Duration::from_secs(30)),
         queue_cap: 64,
         ..ServerConfig::default()
@@ -267,7 +266,7 @@ fn warm_quantized_serve_embed_is_alloc_free_on_hits() {
     let quant = quantize_serve_snapshot(&snap).unwrap();
     let engine = Engine::from_quant_snapshot(quant, 8).unwrap();
     assert!(engine.quantized());
-    let mut batcher = Batcher::new(engine, 2, Duration::from_micros(50));
+    let mut batcher = Batcher::new(engine, 2);
     let mut sub = batcher.submitter();
     let mut input: Vec<f32> = (0..16).map(|i| i as f32 * 0.1).collect();
     let mut out = Vec::new();

@@ -6,6 +6,22 @@ cd "$(dirname "$0")"
 echo "== cargo build --release =="
 cargo build --release --workspace
 
+echo "== one byte codec gate =="
+# Every binary format goes through edsr-wire's Reader/Writer, whose
+# guarded count read runs before any allocation. A second LE cursor or
+# put_* helper set, or an ad-hoc `with_capacity(n.min(CAP))` cap in a
+# codec, would bring back a decoder the guard does not cover.
+if grep -rnE "struct (Cursor|Reader|ByteReader)<'a>|fn put_u(32|64)\(" \
+        --include='*.rs' crates | grep -v '^crates/wire/'; then
+    echo "codec gate: LE cursor or put_* helper defined outside crates/wire"; exit 1
+fi
+if grep -nE 'with_capacity\(.*\.min\(' crates/nn/src/io.rs crates/cl/src/checkpoint.rs \
+        crates/cl/src/memory.rs crates/cl/src/methods/si.rs crates/quant/src/snapshot.rs \
+        crates/serve/src/protocol.rs crates/dist/src/protocol.rs crates/dist/src/codec.rs \
+        crates/dist/src/spec.rs crates/data/src/shard.rs; then
+    echo "codec gate: ad-hoc allocation cap in a binary codec; guard the count instead"; exit 1
+fi
+
 echo "== cargo test -q =="
 cargo test -q
 

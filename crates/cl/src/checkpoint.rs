@@ -14,14 +14,12 @@
 
 use std::path::{Path, PathBuf};
 
-use edsr_nn::io::{
-    crc32, params_from_bytes, params_to_bytes, put_bytes, put_f32, put_f64, put_matrix, put_u32,
-    put_u64, read_envelope, write_envelope, ByteReader,
-};
+use edsr_nn::io::{crc32, params_from_bytes, params_to_bytes, read_matrix, write_matrix};
 use edsr_nn::CheckpointError;
 use edsr_quant::{knn_gate, QuantEncoder, QuantLinear, QuantMemory, QuantSnapshot};
 use edsr_ssl::SslVariant;
 use edsr_tensor::Matrix;
+use edsr_wire::{read_envelope, write_envelope, Reader, Writer};
 
 use crate::memory::MemoryBuffer;
 use crate::model::{ContinualModel, ModelConfig};
@@ -91,31 +89,28 @@ pub struct RunState {
 /// Serializes a run state into an (un-enveloped) payload.
 pub fn encode_run_state(s: &RunState) -> Vec<u8> {
     let mut buf = Vec::new();
-    put_u64(&mut buf, s.completed_tasks as u64);
-    put_bytes(&mut buf, s.method.as_bytes());
-    put_bytes(&mut buf, s.benchmark.as_bytes());
-    put_u64(&mut buf, s.matrix_rows.len() as u64);
+    let mut w = Writer::new(&mut buf);
+    w.u64(s.completed_tasks as u64);
+    w.bytes_u64(s.method.as_bytes());
+    w.bytes_u64(s.benchmark.as_bytes());
+    w.u64(s.matrix_rows.len() as u64);
     for row in &s.matrix_rows {
-        put_u64(&mut buf, row.len() as u64);
-        for &v in row {
-            put_f32(&mut buf, v);
-        }
+        w.u64(row.len() as u64);
+        w.f32s(row);
     }
-    put_u64(&mut buf, s.task_seconds.len() as u64);
+    w.u64(s.task_seconds.len() as u64);
     for &v in &s.task_seconds {
-        put_f64(&mut buf, v);
+        w.f64(v);
     }
-    put_u64(&mut buf, s.task_losses.len() as u64);
-    for &v in &s.task_losses {
-        put_f32(&mut buf, v);
+    w.u64(s.task_losses.len() as u64);
+    w.f32s(&s.task_losses);
+    w.bytes_u64(&s.params_payload);
+    w.bytes_u64(&s.optim_payload);
+    for &v in &s.rng_state {
+        w.u64(v);
     }
-    put_bytes(&mut buf, &s.params_payload);
-    put_bytes(&mut buf, &s.optim_payload);
-    for &w in &s.rng_state {
-        put_u64(&mut buf, w);
-    }
-    put_bytes(&mut buf, &s.method_state);
-    put_f32(&mut buf, s.lr_scale);
+    w.bytes_u64(&s.method_state);
+    w.f32(s.lr_scale);
     buf
 }
 
@@ -126,43 +121,26 @@ fn utf8(bytes: &[u8]) -> Result<String, CheckpointError> {
 
 /// Parses a payload produced by [`encode_run_state`].
 pub fn decode_run_state(payload: &[u8]) -> Result<RunState, CheckpointError> {
-    let mut r = ByteReader::new(payload);
+    let mut r = Reader::new(payload);
     let completed_tasks = r.u64()? as usize;
-    let method = utf8(r.bytes()?)?;
-    let benchmark = utf8(r.bytes()?)?;
-    let n_rows = r.u64()? as usize;
-    let mut matrix_rows = Vec::with_capacity(n_rows.min(1024));
+    let method = utf8(r.bytes_u64()?)?;
+    let benchmark = utf8(r.bytes_u64()?)?;
+    let n_rows = r.count_u64(8)?;
+    let mut matrix_rows = Vec::with_capacity(n_rows);
     for _ in 0..n_rows {
-        let len = r.u64()? as usize;
-        let mut row = Vec::with_capacity(len.min(4096));
-        for _ in 0..len {
-            row.push(r.f32()?);
-        }
-        matrix_rows.push(row);
+        let len = r.u64()?;
+        matrix_rows.push(r.f32s(len)?);
     }
-    let n_secs = r.u64()? as usize;
-    let mut task_seconds = Vec::with_capacity(n_secs.min(4096));
-    for _ in 0..n_secs {
-        task_seconds.push(r.f64()?);
-    }
-    let n_losses = r.u64()? as usize;
-    let mut task_losses = Vec::with_capacity(n_losses.min(4096));
-    for _ in 0..n_losses {
-        task_losses.push(r.f32()?);
-    }
-    let params_payload = r.bytes()?.to_vec();
-    let optim_payload = r.bytes()?.to_vec();
-    let mut rng_state = [0u64; 4];
-    for w in &mut rng_state {
-        *w = r.u64()?;
-    }
-    let method_state = r.bytes()?.to_vec();
+    let n_secs = r.count_u64(8)?;
+    let task_seconds = (0..n_secs).map(|_| r.f64()).collect::<Result<_, _>>()?;
+    let n_losses = r.u64()?;
+    let task_losses = r.f32s(n_losses)?;
+    let params_payload = r.bytes_u64()?.to_vec();
+    let optim_payload = r.bytes_u64()?.to_vec();
+    let rng_state = [r.u64()?, r.u64()?, r.u64()?, r.u64()?];
+    let method_state = r.bytes_u64()?.to_vec();
     let lr_scale = r.f32()?;
-    if !r.is_exhausted() {
-        return Err(CheckpointError::Mismatch(
-            "run-state payload has trailing bytes".into(),
-        ));
-    }
+    r.finish()?;
     Ok(RunState {
         completed_tasks,
         method,
@@ -272,40 +250,35 @@ pub struct ServeSnapshot {
     pub memory_tasks: Vec<u64>,
 }
 
-fn put_model_config(buf: &mut Vec<u8>, cfg: &ModelConfig) {
-    put_u64(buf, cfg.input_dims.len() as u64);
+fn write_model_config(w: &mut Writer, cfg: &ModelConfig) {
+    w.u64(cfg.input_dims.len() as u64);
     for &d in &cfg.input_dims {
-        put_u64(buf, d as u64);
+        w.u64(d as u64);
     }
-    put_u64(buf, cfg.hidden_dim as u64);
-    put_u64(buf, cfg.repr_dim as u64);
-    put_u64(buf, cfg.backbone_layers as u64);
+    w.u64(cfg.hidden_dim as u64);
+    w.u64(cfg.repr_dim as u64);
+    w.u64(cfg.backbone_layers as u64);
     match cfg.variant {
-        SslVariant::SimSiam => put_u32(buf, 1),
+        SslVariant::SimSiam => w.u32(1),
         SslVariant::BarlowTwins { lambda } => {
-            put_u32(buf, 2);
-            put_f32(buf, lambda);
+            w.u32(2);
+            w.f32(lambda);
         }
     }
     match cfg.conv_stem {
-        None => put_u32(buf, 0),
+        None => w.u32(0),
         Some((shape, kernel, filters)) => {
-            put_u32(buf, 1);
-            put_u64(buf, shape.channels as u64);
-            put_u64(buf, shape.height as u64);
-            put_u64(buf, shape.width as u64);
-            put_u64(buf, kernel as u64);
-            put_u64(buf, filters as u64);
+            w.u32(1);
+            for v in [shape.channels, shape.height, shape.width, kernel, filters] {
+                w.u64(v as u64);
+            }
         }
     }
 }
 
-fn read_model_config(r: &mut ByteReader<'_>) -> Result<ModelConfig, CheckpointError> {
-    let n_dims = r.u64()? as usize;
-    let mut input_dims = Vec::with_capacity(n_dims.min(1024));
-    for _ in 0..n_dims {
-        input_dims.push(r.u64()? as usize);
-    }
+fn read_model_config(r: &mut Reader<'_>) -> Result<ModelConfig, CheckpointError> {
+    let n_dims = r.u64()?;
+    let input_dims = r.u64s(n_dims)?.into_iter().map(|d| d as usize).collect();
     let hidden_dim = r.u64()? as usize;
     let repr_dim = r.u64()? as usize;
     let backbone_layers = r.u64()? as usize;
@@ -416,36 +389,30 @@ impl ServeSnapshot {
     /// Serializes into an (un-enveloped) payload.
     pub fn encode(&self) -> Vec<u8> {
         let mut buf = Vec::new();
-        put_u64(&mut buf, self.completed_tasks as u64);
-        put_bytes(&mut buf, self.benchmark.as_bytes());
-        put_model_config(&mut buf, &self.config);
-        put_bytes(&mut buf, &self.params_payload);
-        put_matrix(&mut buf, &self.memory_reprs);
-        put_u64(&mut buf, self.memory_tasks.len() as u64);
+        let mut w = Writer::new(&mut buf);
+        w.u64(self.completed_tasks as u64);
+        w.bytes_u64(self.benchmark.as_bytes());
+        write_model_config(&mut w, &self.config);
+        w.bytes_u64(&self.params_payload);
+        write_matrix(&mut w, &self.memory_reprs);
+        w.u64(self.memory_tasks.len() as u64);
         for &t in &self.memory_tasks {
-            put_u64(&mut buf, t);
+            w.u64(t);
         }
         buf
     }
 
     /// Parses a payload produced by [`encode`](Self::encode).
     pub fn decode(payload: &[u8]) -> Result<Self, CheckpointError> {
-        let mut r = ByteReader::new(payload);
+        let mut r = Reader::new(payload);
         let completed_tasks = r.u64()? as usize;
-        let benchmark = utf8(r.bytes()?)?;
+        let benchmark = utf8(r.bytes_u64()?)?;
         let config = read_model_config(&mut r)?;
-        let params_payload = r.bytes()?.to_vec();
-        let memory_reprs = r.matrix()?;
-        let n_tasks = r.u64()? as usize;
-        let mut memory_tasks = Vec::with_capacity(n_tasks.min(1 << 20));
-        for _ in 0..n_tasks {
-            memory_tasks.push(r.u64()?);
-        }
-        if !r.is_exhausted() {
-            return Err(CheckpointError::Mismatch(
-                "serve snapshot payload has trailing bytes".into(),
-            ));
-        }
+        let params_payload = r.bytes_u64()?.to_vec();
+        let memory_reprs = read_matrix(&mut r)?;
+        let n_tasks = r.u64()?;
+        let memory_tasks = r.u64s(n_tasks)?;
+        r.finish()?;
         if memory_tasks.len() != memory_reprs.rows() {
             return Err(CheckpointError::Mismatch(format!(
                 "serve snapshot: {} memory rows but {} task labels",
@@ -469,7 +436,7 @@ impl ServeSnapshot {
     /// *visible* in the export directory is always *complete*, so the
     /// watcher only ever has to defend against corruption, not tearing.
     pub fn save(&self, path: impl AsRef<Path>) -> Result<(), CheckpointError> {
-        write_envelope(path, SERVE_SNAPSHOT_MAGIC, &self.encode())
+        Ok(write_envelope(path, SERVE_SNAPSHOT_MAGIC, &self.encode())?)
     }
 
     /// Loads and validates a snapshot written by [`save`](Self::save).
@@ -597,7 +564,7 @@ pub fn quantize_serve_snapshot(snapshot: &ServeSnapshot) -> Result<QuantSnapshot
     let memory = QuantMemory::from_matrix(&snapshot.memory_reprs);
     let gate = knn_gate(&snapshot.memory_reprs, &snapshot.memory_tasks, &memory);
     let mut memory_bytes = Vec::new();
-    put_matrix(&mut memory_bytes, &snapshot.memory_reprs);
+    write_matrix(&mut Writer::new(&mut memory_bytes), &snapshot.memory_reprs);
     Ok(QuantSnapshot {
         completed_tasks: snapshot.completed_tasks,
         benchmark: snapshot.benchmark.clone(),

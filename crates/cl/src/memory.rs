@@ -191,25 +191,21 @@ impl MemoryBuffer {
     /// `Method::save_state`). Format: item count, then per item the
     /// source task, noise scale, raw input, and optional stored features.
     pub fn to_bytes(&self) -> Vec<u8> {
-        use edsr_nn::io::{put_f32, put_u32, put_u64};
         let mut buf = Vec::new();
-        put_u64(&mut buf, self.items.len() as u64);
+        let mut w = edsr_wire::Writer::new(&mut buf);
+        w.u64(self.items.len() as u64);
         for item in &self.items {
-            put_u64(&mut buf, item.task as u64);
-            put_f32(&mut buf, item.noise_scale);
-            put_u64(&mut buf, item.input.len() as u64);
-            for &v in &item.input {
-                put_f32(&mut buf, v);
-            }
+            w.u64(item.task as u64);
+            w.f32(item.noise_scale);
+            w.u64(item.input.len() as u64);
+            w.f32s(&item.input);
             match &item.stored_features {
                 Some(f) => {
-                    put_u32(&mut buf, 1);
-                    put_u64(&mut buf, f.len() as u64);
-                    for &v in f {
-                        put_f32(&mut buf, v);
-                    }
+                    w.u32(1);
+                    w.u64(f.len() as u64);
+                    w.f32s(f);
                 }
-                None => put_u32(&mut buf, 0),
+                None => w.u32(0),
             }
         }
         buf
@@ -217,28 +213,21 @@ impl MemoryBuffer {
 
     /// Rebuilds a buffer serialized by [`to_bytes`](Self::to_bytes).
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, edsr_nn::CheckpointError> {
-        use edsr_nn::io::ByteReader;
         use edsr_nn::CheckpointError;
-        let mut r = ByteReader::new(bytes);
-        let count = r.u64()? as usize;
-        let mut items = Vec::with_capacity(count.min(1 << 20));
+        let mut r = edsr_wire::Reader::new(bytes);
+        // An item is at least task + noise scale + input length + tag.
+        let count = r.count_u64(8 + 4 + 8 + 4)?;
+        let mut items = Vec::with_capacity(count);
         for _ in 0..count {
             let task = r.u64()? as usize;
             let noise_scale = r.f32()?;
-            let dim = r.u64()? as usize;
-            let mut input = Vec::with_capacity(dim.min(1 << 20));
-            for _ in 0..dim {
-                input.push(r.f32()?);
-            }
+            let dim = r.u64()?;
+            let input = r.f32s(dim)?;
             let stored_features = match r.u32()? {
                 0 => None,
                 1 => {
-                    let flen = r.u64()? as usize;
-                    let mut f = Vec::with_capacity(flen.min(1 << 20));
-                    for _ in 0..flen {
-                        f.push(r.f32()?);
-                    }
-                    Some(f)
+                    let flen = r.u64()?;
+                    Some(r.f32s(flen)?)
                 }
                 tag => {
                     return Err(CheckpointError::Mismatch(format!(
@@ -253,11 +242,7 @@ impl MemoryBuffer {
                 stored_features,
             });
         }
-        if !r.is_exhausted() {
-            return Err(CheckpointError::Mismatch(
-                "memory payload has trailing bytes".into(),
-            ));
-        }
+        r.finish()?;
         Ok(Self { items })
     }
 

@@ -11,8 +11,10 @@
 #![allow(clippy::needless_range_loop)]
 
 use edsr_data::{Augmenter, Dataset};
+use edsr_nn::io::{read_matrix, write_matrix};
 use edsr_nn::{Optimizer, Workspace};
 use edsr_tensor::Matrix;
+use edsr_wire::{DecodeError, Reader, Writer};
 use rand::rngs::StdRng;
 
 use crate::model::ContinualModel;
@@ -182,46 +184,52 @@ impl Method for Si {
 
     // SI's state is the importance accumulators and reference weights.
     fn save_state(&self) -> Option<Vec<u8>> {
-        use edsr_nn::io::{put_matrix, put_u32, put_u64};
         let mut buf = Vec::new();
-        put_u32(&mut buf, self.initialized as u32);
+        let mut w = Writer::new(&mut buf);
+        w.u32(self.initialized as u32);
         for group in [
             &self.omega,
             &self.omega_acc,
             &self.theta_star,
             &self.theta_task_start,
         ] {
-            put_u64(&mut buf, group.len() as u64);
+            w.u64(group.len() as u64);
             for m in group {
-                put_matrix(&mut buf, m);
+                write_matrix(&mut w, m);
             }
         }
         Some(buf)
     }
 
     fn load_state(&mut self, state: &[u8]) -> Result<(), String> {
-        use edsr_nn::io::ByteReader;
-        let mut r = ByteReader::new(state);
-        let initialized = r.u32().map_err(|e| e.to_string())? != 0;
-        let mut groups: Vec<Vec<Matrix>> = Vec::with_capacity(4);
-        for _ in 0..4 {
-            let count = r.u64().map_err(|e| e.to_string())? as usize;
-            let mut group = Vec::with_capacity(count.min(1 << 16));
-            for _ in 0..count {
-                group.push(r.matrix().map_err(|e| e.to_string())?);
-            }
-            groups.push(group);
-        }
-        if !r.is_exhausted() {
-            return Err("SI state has trailing bytes".into());
-        }
-        self.theta_task_start = groups.pop().unwrap_or_default();
-        self.theta_star = groups.pop().unwrap_or_default();
-        self.omega_acc = groups.pop().unwrap_or_default();
-        self.omega = groups.pop().unwrap_or_default();
+        let (initialized, [omega, omega_acc, theta_star, theta_task_start]) =
+            decode_state(state).map_err(|e| format!("SI state: {e}"))?;
+        self.omega = omega;
+        self.omega_acc = omega_acc;
+        self.theta_star = theta_star;
+        self.theta_task_start = theta_task_start;
         self.initialized = initialized;
         Ok(())
     }
+}
+
+/// Parses [`Si::save_state`]'s payload: the flag, then four matrix groups.
+fn decode_state(state: &[u8]) -> Result<(bool, [Vec<Matrix>; 4]), DecodeError> {
+    fn group(r: &mut Reader) -> Result<Vec<Matrix>, DecodeError> {
+        // A matrix is at least its two u32 shape fields.
+        let count = r.count_u64(8)?;
+        (0..count).map(|_| read_matrix(r)).collect()
+    }
+    let mut r = Reader::new(state);
+    let initialized = r.u32()? != 0;
+    let groups = [
+        group(&mut r)?,
+        group(&mut r)?,
+        group(&mut r)?,
+        group(&mut r)?,
+    ];
+    r.finish()?;
+    Ok((initialized, groups))
 }
 
 #[cfg(test)]

@@ -30,7 +30,7 @@
 use std::path::{Path, PathBuf};
 
 use edsr_tensor::Matrix;
-use edsr_wire::{read_envelope, write_envelope};
+use edsr_wire::{read_envelope, write_envelope, DecodeError, Reader, Writer};
 
 use crate::dataset::{Dataset, Task, TaskSequence};
 use crate::error::DataError;
@@ -78,112 +78,48 @@ impl ShardManifest {
 // Payload encoding / decoding.
 // ---------------------------------------------------------------------------
 
-fn put_str(out: &mut Vec<u8>, s: &str) {
-    out.extend_from_slice(&(s.len() as u32).to_le_bytes());
-    out.extend_from_slice(s.as_bytes());
-}
-
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_dataset(out: &mut Vec<u8>, d: &Dataset) {
-    put_str(out, &d.name);
-    put_u64(out, d.inputs.rows() as u64);
-    put_u64(out, d.inputs.cols() as u64);
+fn write_dataset(w: &mut Writer, d: &Dataset) {
+    w.bytes_u32(d.name.as_bytes());
+    w.u64(d.inputs.rows() as u64);
+    w.u64(d.inputs.cols() as u64);
     for &l in &d.labels {
-        put_u64(out, l as u64);
+        w.u64(l as u64);
     }
-    out.reserve(d.inputs.len() * 4);
-    for &v in d.inputs.data() {
-        out.extend_from_slice(&v.to_le_bytes());
+    w.f32s(d.inputs.data());
+}
+
+/// A payload that passed its CRC but does not parse (a writer bug or a
+/// crafted file); surfaces as [`DataError::Format`].
+struct Malformed(String);
+
+impl From<DecodeError> for Malformed {
+    fn from(e: DecodeError) -> Self {
+        Malformed(e.to_string())
     }
 }
 
-/// A bounds-checked little-endian payload reader; every shortfall becomes
-/// a structured parse failure (the CRC already passed, so a shortfall
-/// here means a writer bug or a crafted file, not bit rot).
-struct Reader<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn new(bytes: &'a [u8]) -> Self {
-        Self { bytes, pos: 0 }
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], String> {
-        if self.bytes.len() - self.pos < n {
-            return Err(format!(
-                "needed {n} bytes at offset {}, {} remain",
-                self.pos,
-                self.bytes.len() - self.pos
-            ));
+impl Malformed {
+    fn at(self, path: &Path) -> DataError {
+        DataError::Format {
+            path: path.to_path_buf(),
+            detail: self.0,
         }
-        let s = &self.bytes[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
-    }
-
-    fn u32(&mut self) -> Result<u32, String> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    fn u64(&mut self) -> Result<u64, String> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        let len = self.u32()? as usize;
-        let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| "name is not UTF-8".into())
-    }
-
-    /// Guards a declared element count against the bytes actually
-    /// present, so a corrupted-but-CRC-valid count can never trigger a
-    /// huge allocation.
-    fn counted(&mut self, elem_bytes: usize) -> Result<usize, String> {
-        let n = self.u64()? as usize;
-        let remaining = self.bytes.len() - self.pos;
-        if n.checked_mul(elem_bytes).is_none_or(|b| b > remaining) {
-            return Err(format!(
-                "declared {n} elements x {elem_bytes} B exceed the {remaining} payload bytes left"
-            ));
-        }
-        Ok(n)
-    }
-
-    fn finish(&self) -> Result<(), String> {
-        if self.pos != self.bytes.len() {
-            return Err(format!(
-                "{} trailing bytes after the payload",
-                self.bytes.len() - self.pos
-            ));
-        }
-        Ok(())
     }
 }
 
-fn get_dataset(r: &mut Reader) -> Result<Dataset, String> {
-    let name = r.string()?;
-    let rows = r.u64()? as usize;
-    let cols = r.u64()? as usize;
-    let remaining = r.bytes.len() - r.pos;
-    let need = rows
-        .checked_mul(8 + cols * 4)
-        .ok_or("rows x cols overflows")?;
-    if need > remaining {
-        return Err(format!(
-            "dataset of {rows}x{cols} needs {need} bytes, {remaining} remain"
-        ));
-    }
-    let mut labels = Vec::with_capacity(rows);
-    for _ in 0..rows {
-        labels.push(r.u64()? as usize);
-    }
-    let raw = r.take(rows * cols * 4)?;
-    let mut data = vec![0.0f32; rows * cols];
+fn read_string(r: &mut Reader) -> Result<String, Malformed> {
+    String::from_utf8(r.bytes_u32()?.to_vec()).map_err(|_| Malformed("name is not UTF-8".into()))
+}
+
+fn read_dataset(r: &mut Reader) -> Result<Dataset, Malformed> {
+    let name = read_string(r)?;
+    let rows = r.u64()?;
+    let cols = r.u64()?;
+    let labels = read_usizes(r, rows)?;
+    let n = r.count(rows.saturating_mul(cols), 4)?;
+    let raw = r.take(n * 4)?;
+    let (rows, cols) = (rows as usize, cols as usize);
+    let mut data = vec![0.0f32; n];
     // Bulk f32 decode is the hot loop of a shard load; chunk it over the
     // pool. Pure element-wise, so the result is thread-count independent.
     edsr_par::par_for_rows(&mut data, rows, |row_range, chunk| {
@@ -194,38 +130,39 @@ fn get_dataset(r: &mut Reader) -> Result<Dataset, String> {
         }
     });
     let inputs = Matrix::from_vec(rows, cols, data);
-    Dataset::try_new(name, inputs, labels).map_err(|e| e.to_string())
+    Dataset::try_new(name, inputs, labels).map_err(|e| Malformed(e.to_string()))
+}
+
+fn write_usizes(w: &mut Writer, v: &[usize]) {
+    w.u64(v.len() as u64);
+    for &x in v {
+        w.u64(x as u64);
+    }
+}
+
+/// `n` values written as `u64`s (`n` itself is read by the caller).
+fn read_usizes(r: &mut Reader, n: u64) -> Result<Vec<usize>, DecodeError> {
+    Ok(r.u64s(n)?.into_iter().map(|x| x as usize).collect())
 }
 
 /// Serializes one increment into a shard payload (no envelope).
 pub fn encode_task(task: &Task) -> Vec<u8> {
     let mut out = Vec::with_capacity(32 + (task.train.inputs.len() + task.test.inputs.len()) * 4);
-    put_dataset(&mut out, &task.train);
-    put_dataset(&mut out, &task.test);
-    put_u64(&mut out, task.classes.len() as u64);
-    for &c in &task.classes {
-        put_u64(&mut out, c as u64);
-    }
+    let mut w = Writer::new(&mut out);
+    write_dataset(&mut w, &task.train);
+    write_dataset(&mut w, &task.test);
+    write_usizes(&mut w, &task.classes);
     out
 }
 
-/// Parses a shard payload back into an increment. `path` labels errors.
-pub fn decode_task(payload: &[u8], path: &Path) -> Result<Task, DataError> {
-    let fail = |detail: String| DataError::Format {
-        path: path.to_path_buf(),
-        detail,
-    };
-    let mut r = Reader::new(payload);
-    let train = get_dataset(&mut r).map_err(fail)?;
-    let test = get_dataset(&mut r).map_err(fail)?;
-    let n = r.counted(8).map_err(fail)?;
-    let mut classes = Vec::with_capacity(n);
-    for _ in 0..n {
-        classes.push(r.u64().map_err(fail)? as usize);
-    }
-    r.finish().map_err(fail)?;
+fn read_task(r: &mut Reader) -> Result<Task, Malformed> {
+    let train = read_dataset(r)?;
+    let test = read_dataset(r)?;
+    let n_classes = r.u64()?;
+    let classes = read_usizes(r, n_classes)?;
+    r.finish()?;
     if train.dim() != test.dim() {
-        return Err(fail(format!(
+        return Err(Malformed(format!(
             "train dim {} != test dim {}",
             train.dim(),
             test.dim()
@@ -236,6 +173,11 @@ pub fn decode_task(payload: &[u8], path: &Path) -> Result<Task, DataError> {
         test,
         classes,
     })
+}
+
+/// Parses a shard payload back into an increment. `path` labels errors.
+pub fn decode_task(payload: &[u8], path: &Path) -> Result<Task, DataError> {
+    read_task(&mut Reader::new(payload)).map_err(|e| e.at(path))
 }
 
 /// Writes one increment as a durable `EDSRDS01` shard.
@@ -258,40 +200,31 @@ pub fn read_task_shard(path: &Path) -> Result<Task, DataError> {
 
 fn encode_manifest(m: &ShardManifest) -> Vec<u8> {
     let mut out = Vec::new();
-    put_str(&mut out, &m.name);
-    put_u64(&mut out, m.dim as u64);
-    put_u64(&mut out, m.shards.len() as u64);
+    let mut w = Writer::new(&mut out);
+    w.bytes_u32(m.name.as_bytes());
+    w.u64(m.dim as u64);
+    w.u64(m.shards.len() as u64);
     for s in &m.shards {
-        put_str(&mut out, &s.file);
-        put_u64(&mut out, s.train_len as u64);
-        put_u64(&mut out, s.test_len as u64);
-        put_u64(&mut out, s.classes.len() as u64);
-        for &c in &s.classes {
-            put_u64(&mut out, c as u64);
-        }
+        w.bytes_u32(s.file.as_bytes());
+        w.u64(s.train_len as u64);
+        w.u64(s.test_len as u64);
+        write_usizes(&mut w, &s.classes);
     }
     out
 }
 
-fn decode_manifest(payload: &[u8], path: &Path) -> Result<ShardManifest, DataError> {
-    let fail = |detail: String| DataError::Format {
-        path: path.to_path_buf(),
-        detail,
-    };
-    let mut r = Reader::new(payload);
-    let name = r.string().map_err(fail)?;
-    let dim = r.u64().map_err(fail)? as usize;
-    let n_shards = r.counted(4).map_err(fail)?;
+fn read_manifest_payload(r: &mut Reader) -> Result<ShardManifest, Malformed> {
+    let name = read_string(r)?;
+    let dim = r.u64()? as usize;
+    // A shard entry is at least its file-name length and three u64s.
+    let n_shards = r.count_u64(4 + 3 * 8)?;
     let mut shards = Vec::with_capacity(n_shards);
     for _ in 0..n_shards {
-        let file = r.string().map_err(fail)?;
-        let train_len = r.u64().map_err(fail)? as usize;
-        let test_len = r.u64().map_err(fail)? as usize;
-        let n = r.counted(8).map_err(fail)?;
-        let mut classes = Vec::with_capacity(n);
-        for _ in 0..n {
-            classes.push(r.u64().map_err(fail)? as usize);
-        }
+        let file = read_string(r)?;
+        let train_len = r.u64()? as usize;
+        let test_len = r.u64()? as usize;
+        let n_classes = r.u64()?;
+        let classes = read_usizes(r, n_classes)?;
         shards.push(ShardMeta {
             file,
             train_len,
@@ -299,7 +232,7 @@ fn decode_manifest(payload: &[u8], path: &Path) -> Result<ShardManifest, DataErr
             classes,
         });
     }
-    r.finish().map_err(fail)?;
+    r.finish()?;
     Ok(ShardManifest { name, dim, shards })
 }
 
@@ -321,7 +254,7 @@ pub fn read_manifest(dir: &Path) -> Result<ShardManifest, DataError> {
         path: path.clone(),
         source,
     })?;
-    decode_manifest(&payload, &path)
+    read_manifest_payload(&mut Reader::new(&payload)).map_err(|e| e.at(&path))
 }
 
 /// Materializes a [`TaskSequence`] as a shard directory: one durable
@@ -450,6 +383,22 @@ mod tests {
         let mut payload = encode_task(&toy_task(514));
         let n = payload.len();
         payload[n - 24..n - 16].copy_from_slice(&(1u64 << 60).to_le_bytes());
+        match decode_task(&payload, Path::new("mem")) {
+            Err(DataError::Format { .. }) => {}
+            other => panic!("expected a format error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn overflowing_dataset_shape_is_a_format_error() {
+        // Name "", one row of 2^62 columns, one label: the data size
+        // `cols * 4` overflows, and the count guard must reject it.
+        let mut payload = Vec::new();
+        payload.extend_from_slice(&0u32.to_le_bytes());
+        payload.extend_from_slice(&1u64.to_le_bytes());
+        payload.extend_from_slice(&(1u64 << 62).to_le_bytes());
+        payload.extend_from_slice(&0u64.to_le_bytes());
+        assert_eq!(payload.len(), 28);
         match decode_task(&payload, Path::new("mem")) {
             Err(DataError::Format { .. }) => {}
             other => panic!("expected a format error, got {other:?}"),

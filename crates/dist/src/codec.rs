@@ -32,6 +32,8 @@
 
 use std::fmt;
 
+use edsr_wire::{DecodeError, Reader, Writer};
+
 /// Every element shipped as raw f32 bits.
 pub const MODE_DENSE_RAW: u8 = 0;
 /// Only bit-nonzero elements shipped, against an implicit all-zero base.
@@ -63,6 +65,9 @@ pub enum TensorCodecError {
     BaselineMismatch(String),
     /// Bytes remained after the declared tensors.
     Trailing(usize),
+    /// The tensor count or a tensor length disagrees with the shapes the
+    /// receiver expects (both ends hold the parameter shapes).
+    ShapeMismatch(String),
 }
 
 impl fmt::Display for TensorCodecError {
@@ -77,38 +82,21 @@ impl fmt::Display for TensorCodecError {
             }
             TensorCodecError::BaselineMismatch(m) => write!(f, "codec baseline mismatch: {m}"),
             TensorCodecError::Trailing(n) => write!(f, "codec: {n} trailing bytes"),
+            TensorCodecError::ShapeMismatch(m) => write!(f, "codec shape mismatch: {m}"),
         }
     }
 }
 
 impl std::error::Error for TensorCodecError {}
 
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-struct Reader<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], TensorCodecError> {
-        let got = self.bytes.len() - self.pos;
-        if got < n {
-            return Err(TensorCodecError::Truncated { expected: n, got });
+impl From<DecodeError> for TensorCodecError {
+    fn from(e: DecodeError) -> Self {
+        match e {
+            DecodeError::Truncated { expected, got } => {
+                TensorCodecError::Truncated { expected, got }
+            }
+            DecodeError::Trailing(n) => TensorCodecError::Trailing(n),
         }
-        let s = &self.bytes[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
-    }
-
-    fn u8(&mut self) -> Result<u8, TensorCodecError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u32(&mut self) -> Result<u32, TensorCodecError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
     }
 }
 
@@ -143,7 +131,8 @@ pub fn encode_tensors(
     threshold: f32,
 ) -> Result<Vec<u8>, TensorCodecError> {
     let mut out = Vec::new();
-    put_u32(&mut out, tensors.len() as u32);
+    let mut w = Writer::new(&mut out);
+    w.u32(tensors.len() as u32);
     for (which, t) in tensors.iter().enumerate() {
         let base = match baseline {
             Some(b) => {
@@ -152,7 +141,7 @@ pub fn encode_tensors(
             }
             None => None,
         };
-        put_u32(&mut out, t.len() as u32);
+        w.u32(t.len() as u32);
         let raw_nnz = t.iter().filter(|v| v.to_bits() != 0).count();
         let (mode, nnz) = match base {
             Some(b) => {
@@ -170,20 +159,18 @@ pub fn encode_tensors(
             None => (MODE_SPARSE_RAW, raw_nnz),
         };
         if nnz as f64 > f64::from(threshold) * t.len() as f64 {
-            out.push(MODE_DENSE_RAW);
-            for v in *t {
-                out.extend_from_slice(&v.to_le_bytes());
-            }
+            w.u8(MODE_DENSE_RAW);
+            w.f32s(t);
             continue;
         }
-        out.push(mode);
-        put_u32(&mut out, nnz as u32);
+        w.u8(mode);
+        w.u32(nnz as u32);
         match mode {
             MODE_SPARSE_RAW => {
                 for (i, v) in t.iter().enumerate() {
                     if v.to_bits() != 0 {
-                        put_u32(&mut out, i as u32);
-                        put_u32(&mut out, v.to_bits());
+                        w.u32(i as u32);
+                        w.u32(v.to_bits());
                     }
                 }
             }
@@ -192,8 +179,8 @@ pub fn encode_tensors(
                 for (i, (v, &bb)) in t.iter().zip(b.iter()).enumerate() {
                     let delta = v.to_bits() ^ bb;
                     if delta != 0 {
-                        put_u32(&mut out, i as u32);
-                        put_u32(&mut out, delta);
+                        w.u32(i as u32);
+                        w.u32(delta);
                     }
                 }
             }
@@ -203,26 +190,36 @@ pub fn encode_tensors(
     Ok(out)
 }
 
-/// Decodes a tensor set produced by [`encode_tensors`]. `baseline` must
-/// be the same bit patterns the encoder used whenever any tensor is in
-/// XOR mode.
+/// Decodes a tensor set produced by [`encode_tensors`]. `lens` are the
+/// element counts the receiver expects, one per tensor: a payload with
+/// another tensor count or length is rejected before anything is
+/// allocated for it. `baseline` must be the same bit patterns the
+/// encoder used whenever any tensor is in XOR mode.
 pub fn decode_tensors(
     bytes: &[u8],
     baseline: Option<&[Vec<u32>]>,
+    lens: &[usize],
 ) -> Result<Vec<Vec<f32>>, TensorCodecError> {
-    let mut r = Reader { bytes, pos: 0 };
-    let count = r.u32()? as usize;
+    let mut r = Reader::new(bytes);
+    // A tensor is at least its length and mode byte.
+    let count = r.count_u32(5)?;
+    if count != lens.len() {
+        return Err(TensorCodecError::ShapeMismatch(format!(
+            "payload has {count} tensors, receiver expects {}",
+            lens.len()
+        )));
+    }
     let mut out = Vec::with_capacity(count);
-    for which in 0..count {
+    for (which, &expected) in lens.iter().enumerate() {
         let len = r.u32()? as usize;
+        if len != expected {
+            return Err(TensorCodecError::ShapeMismatch(format!(
+                "tensor {which} has {len} elements, receiver expects {expected}"
+            )));
+        }
         let mode = r.u8()?;
         let mut bits: Vec<u32> = match mode {
-            MODE_DENSE_RAW => {
-                let raw = r.take(len * 4)?;
-                raw.chunks_exact(4)
-                    .map(|c| u32::from_le_bytes(c.try_into().unwrap()))
-                    .collect()
-            }
+            MODE_DENSE_RAW => r.u32s(len as u64)?,
             MODE_SPARSE_RAW => vec![0u32; len],
             MODE_SPARSE_XOR => {
                 let b = baseline.ok_or_else(|| {
@@ -236,7 +233,7 @@ pub fn decode_tensors(
             m => return Err(TensorCodecError::BadMode(m)),
         };
         if mode != MODE_DENSE_RAW {
-            let nnz = r.u32()? as usize;
+            let nnz = r.count_u32(8)?;
             for _ in 0..nnz {
                 let index = r.u32()?;
                 let value = r.u32()?;
@@ -254,9 +251,7 @@ pub fn decode_tensors(
         }
         out.push(bits.into_iter().map(f32::from_bits).collect());
     }
-    if r.pos != bytes.len() {
-        return Err(TensorCodecError::Trailing(bytes.len() - r.pos));
-    }
+    r.finish()?;
     Ok(out)
 }
 
@@ -276,7 +271,8 @@ mod tests {
     fn roundtrip(tensors: &[Vec<f32>], baseline: Option<&[Vec<u32>]>, threshold: f32) {
         let refs: Vec<&[f32]> = tensors.iter().map(|t| t.as_slice()).collect();
         let bytes = encode_tensors(&refs, baseline, threshold).expect("encode");
-        let back = decode_tensors(&bytes, baseline).expect("decode");
+        let lens: Vec<usize> = tensors.iter().map(Vec::len).collect();
+        let back = decode_tensors(&bytes, baseline, &lens).expect("decode");
         assert_eq!(back.len(), tensors.len());
         for (a, b) in tensors.iter().zip(&back) {
             assert_eq!(a.len(), b.len());
@@ -355,7 +351,7 @@ mod tests {
         let bytes = encode_tensors(&[&t], Some(&base), 0.25).unwrap();
         assert_eq!(bytes[8], MODE_SPARSE_XOR);
         assert_eq!(bytes.len(), 4 + 4 + 1 + 4 + 3 * 8);
-        let back = decode_tensors(&bytes, Some(&base)).unwrap();
+        let back = decode_tensors(&bytes, Some(&base), &[1000]).unwrap();
         for (x, y) in t.iter().zip(&back[0]) {
             assert_eq!(x.to_bits(), y.to_bits());
         }
@@ -371,13 +367,13 @@ mod tests {
         let bytes = encode_tensors(&[&changed], Some(&base), 0.25).unwrap();
         assert_eq!(bytes[8], MODE_SPARSE_XOR);
         assert!(matches!(
-            decode_tensors(&bytes, None),
+            decode_tensors(&bytes, None, &[64]),
             Err(TensorCodecError::BaselineMismatch(_))
         ));
         // Wrong-shape baseline is rejected too.
         let short = tensor_bits(&[&base_vals[..32]]);
         assert!(matches!(
-            decode_tensors(&bytes, Some(&short)),
+            decode_tensors(&bytes, Some(&short), &[64]),
             Err(TensorCodecError::BaselineMismatch(_))
         ));
     }
@@ -389,20 +385,20 @@ mod tests {
         let bytes = encode_tensors(&refs, None, 1.0).unwrap();
         // Every truncation point errors, never panics.
         for cut in 0..bytes.len() {
-            assert!(decode_tensors(&bytes[..cut], None).is_err());
+            assert!(decode_tensors(&bytes[..cut], None, &[3]).is_err());
         }
         // Trailing garbage detected.
         let mut extra = bytes.clone();
         extra.push(0xFF);
         assert!(matches!(
-            decode_tensors(&extra, None),
+            decode_tensors(&extra, None, &[3]),
             Err(TensorCodecError::Trailing(1))
         ));
         // Unknown mode detected.
         let mut bad = bytes;
         bad[8] = 9;
         assert!(matches!(
-            decode_tensors(&bad, None),
+            decode_tensors(&bad, None, &[3]),
             Err(TensorCodecError::BadMode(9))
         ));
     }
@@ -418,8 +414,34 @@ mod tests {
         bytes.extend_from_slice(&5u32.to_le_bytes());
         bytes.extend_from_slice(&1u32.to_le_bytes());
         assert!(matches!(
-            decode_tensors(&bytes, None),
+            decode_tensors(&bytes, None, &[2]),
             Err(TensorCodecError::BadIndex { index: 5, len: 2 })
+        ));
+    }
+
+    #[test]
+    fn declared_sizes_cannot_force_huge_allocations() {
+        // A count of u32::MAX tensors with no bytes behind it.
+        assert!(matches!(
+            decode_tensors(&[0xFF; 4], None, &[2]),
+            Err(TensorCodecError::Truncated { .. })
+        ));
+        // One empty sparse tensor declaring u32::MAX elements: 13 bytes
+        // that would expand to 17 GB if the length were trusted.
+        let mut bytes = Vec::new();
+        bytes.extend_from_slice(&1u32.to_le_bytes());
+        bytes.extend_from_slice(&u32::MAX.to_le_bytes());
+        bytes.push(MODE_SPARSE_RAW);
+        bytes.extend_from_slice(&0u32.to_le_bytes());
+        assert!(matches!(
+            decode_tensors(&bytes, None, &[2]),
+            Err(TensorCodecError::ShapeMismatch(_))
+        ));
+        // The wrong tensor count is rejected the same way.
+        let ok = encode_tensors(&[&[1.0], &[2.0]], None, 0.25).unwrap();
+        assert!(matches!(
+            decode_tensors(&ok, None, &[1]),
+            Err(TensorCodecError::ShapeMismatch(_))
         ));
     }
 

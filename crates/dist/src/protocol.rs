@@ -17,6 +17,8 @@
 
 use std::fmt;
 
+use edsr_wire::{DecodeError, Reader, Writer};
+
 use crate::spec::DistSpec;
 
 /// Protocol version — bumped on any incompatible wire change. A HELLO
@@ -69,11 +71,6 @@ const ITEM_DONE: u8 = 4;
 const PUSH_GRADS: u8 = 1;
 const PUSH_EVAL: u8 = 2;
 
-/// Cap on variable-length fields (strings, batch index lists) so a
-/// corrupt length prefix cannot trigger a huge allocation; tensor
-/// payloads are separately bounded by the frame cap.
-const MAX_LIST: usize = 1 << 20;
-
 /// Decode failures of the dist protocol.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ProtoError {
@@ -88,8 +85,6 @@ pub enum ProtoError {
     BadOp(u8),
     /// Unknown response/item/body kind byte.
     BadKind(u8),
-    /// A length field exceeds the sanity cap.
-    TooLarge(usize),
     /// A string field is not UTF-8.
     BadString,
     /// Bytes remained after the declared message.
@@ -111,7 +106,6 @@ impl fmt::Display for ProtoError {
             }
             ProtoError::BadOp(op) => write!(f, "unknown request op {op}"),
             ProtoError::BadKind(k) => write!(f, "unknown message kind {k}"),
-            ProtoError::TooLarge(n) => write!(f, "length field {n} exceeds cap"),
             ProtoError::BadString => write!(f, "string field is not utf-8"),
             ProtoError::Trailing(n) => write!(f, "{n} trailing bytes after message"),
             ProtoError::BadCrc { expected, got } => {
@@ -153,169 +147,30 @@ fn open(bytes: &[u8]) -> Result<&[u8], ProtoError> {
 
 impl std::error::Error for ProtoError {}
 
-// ---------------------------------------------------------------------------
-// Bounds-checked cursor shared by every codec in this crate.
-// ---------------------------------------------------------------------------
-
-/// Bounds-checked little-endian reader over a message payload.
-pub struct Cursor<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cursor<'a> {
-    /// Starts reading at the beginning of `bytes`.
-    pub fn new(bytes: &'a [u8]) -> Self {
-        Self { bytes, pos: 0 }
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], ProtoError> {
-        let got = self.bytes.len() - self.pos;
-        if got < n {
-            return Err(ProtoError::Truncated { expected: n, got });
+impl From<DecodeError> for ProtoError {
+    fn from(e: DecodeError) -> Self {
+        match e {
+            DecodeError::Truncated { expected, got } => ProtoError::Truncated { expected, got },
+            DecodeError::Trailing(n) => ProtoError::Trailing(n),
         }
-        let s = &self.bytes[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
-    }
-
-    /// Reads one byte.
-    pub fn u8(&mut self) -> Result<u8, ProtoError> {
-        Ok(self.take(1)?[0])
-    }
-
-    /// Reads a little-endian u16.
-    pub fn u16(&mut self) -> Result<u16, ProtoError> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().unwrap()))
-    }
-
-    /// Reads a little-endian u32.
-    pub fn u32(&mut self) -> Result<u32, ProtoError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    /// Reads a little-endian u64.
-    pub fn u64(&mut self) -> Result<u64, ProtoError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    /// Reads a little-endian f32.
-    pub fn f32(&mut self) -> Result<f32, ProtoError> {
-        Ok(f32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    /// Reads four u64s — an `StdRng` state.
-    pub fn rng_state(&mut self) -> Result<[u64; 4], ProtoError> {
-        Ok([self.u64()?, self.u64()?, self.u64()?, self.u64()?])
-    }
-
-    /// Reads a u32-length-prefixed byte blob (capped by the frame size).
-    pub fn blob(&mut self) -> Result<Vec<u8>, ProtoError> {
-        let len = self.u32()? as usize;
-        if len > edsr_wire::MAX_FRAME {
-            return Err(ProtoError::TooLarge(len));
-        }
-        Ok(self.take(len)?.to_vec())
-    }
-
-    /// Reads a u32-length-prefixed UTF-8 string (capped).
-    pub fn string(&mut self) -> Result<String, ProtoError> {
-        let len = self.u32()? as usize;
-        if len > MAX_LIST {
-            return Err(ProtoError::TooLarge(len));
-        }
-        String::from_utf8(self.take(len)?.to_vec()).map_err(|_| ProtoError::BadString)
-    }
-
-    /// Reads a u32-length-prefixed list of u32s (capped).
-    pub fn u32_list(&mut self) -> Result<Vec<u32>, ProtoError> {
-        let len = self.u32()? as usize;
-        if len > MAX_LIST {
-            return Err(ProtoError::TooLarge(len));
-        }
-        let raw = self.take(len * 4)?;
-        Ok(raw
-            .chunks_exact(4)
-            .map(|c| u32::from_le_bytes(c.try_into().unwrap()))
-            .collect())
-    }
-
-    /// Fails unless the whole payload was consumed.
-    pub fn finish(&self) -> Result<(), ProtoError> {
-        if self.pos != self.bytes.len() {
-            return Err(ProtoError::Trailing(self.bytes.len() - self.pos));
-        }
-        Ok(())
     }
 }
 
-/// Little-endian writer mirror of [`Cursor`].
-#[derive(Default)]
-pub struct Writer {
-    out: Vec<u8>,
+/// Reads four u64s — an `StdRng` state.
+fn read_rng(r: &mut Reader) -> Result<[u64; 4], DecodeError> {
+    Ok([r.u64()?, r.u64()?, r.u64()?, r.u64()?])
 }
 
-impl Writer {
-    /// An empty writer.
-    pub fn new() -> Self {
-        Self::default()
+/// Appends an `StdRng` state.
+fn write_rng(w: &mut Writer, s: [u64; 4]) {
+    for v in s {
+        w.u64(v);
     }
+}
 
-    /// Appends one byte.
-    pub fn u8(&mut self, v: u8) {
-        self.out.push(v);
-    }
-
-    /// Appends a little-endian u16.
-    pub fn u16(&mut self, v: u16) {
-        self.out.extend_from_slice(&v.to_le_bytes());
-    }
-
-    /// Appends a little-endian u32.
-    pub fn u32(&mut self, v: u32) {
-        self.out.extend_from_slice(&v.to_le_bytes());
-    }
-
-    /// Appends a little-endian u64.
-    pub fn u64(&mut self, v: u64) {
-        self.out.extend_from_slice(&v.to_le_bytes());
-    }
-
-    /// Appends a little-endian f32.
-    pub fn f32(&mut self, v: f32) {
-        self.out.extend_from_slice(&v.to_le_bytes());
-    }
-
-    /// Appends an `StdRng` state.
-    pub fn rng_state(&mut self, s: [u64; 4]) {
-        for w in s {
-            self.u64(w);
-        }
-    }
-
-    /// Appends a u32-length-prefixed byte blob.
-    pub fn blob(&mut self, b: &[u8]) {
-        self.u32(b.len() as u32);
-        self.out.extend_from_slice(b);
-    }
-
-    /// Appends a u32-length-prefixed UTF-8 string.
-    pub fn string(&mut self, s: &str) {
-        self.blob(s.as_bytes());
-    }
-
-    /// Appends a u32-length-prefixed list of u32s.
-    pub fn u32_list(&mut self, l: &[u32]) {
-        self.u32(l.len() as u32);
-        for v in l {
-            self.u32(*v);
-        }
-    }
-
-    /// The accumulated bytes.
-    pub fn into_bytes(self) -> Vec<u8> {
-        self.out
-    }
+/// Reads a u32-length-prefixed UTF-8 string.
+pub(crate) fn read_string(r: &mut Reader) -> Result<String, ProtoError> {
+    String::from_utf8(r.bytes_u32()?.to_vec()).map_err(|_| ProtoError::BadString)
 }
 
 // ---------------------------------------------------------------------------
@@ -345,10 +200,10 @@ impl ParamsBlob {
             }
             None => w.u8(0),
         }
-        w.blob(&self.payload);
+        w.bytes_u32(&self.payload);
     }
 
-    fn read(c: &mut Cursor) -> Result<Self, ProtoError> {
+    fn read(c: &mut Reader) -> Result<Self, ProtoError> {
         let version = c.u64()?;
         let base_version = match c.u8()? {
             0 => None,
@@ -358,7 +213,7 @@ impl ParamsBlob {
         Ok(Self {
             version,
             base_version,
-            payload: c.blob()?,
+            payload: c.bytes_u32()?.to_vec(),
         })
     }
 }
@@ -579,7 +434,8 @@ pub enum Response {
 impl Request {
     /// Serializes to a frame payload.
     pub fn encode(&self) -> Vec<u8> {
-        let mut w = Writer::new();
+        let mut body = Vec::new();
+        let mut w = Writer::new(&mut body);
         match self {
             Request::Hello { proto, token } => {
                 w.u8(OP_HELLO);
@@ -611,8 +467,8 @@ impl Request {
                         w.u32(*shard);
                         w.u32(*shards);
                         w.f32(*loss);
-                        w.rng_state(*rng);
-                        w.blob(grads);
+                        write_rng(&mut w, *rng);
+                        w.bytes_u32(grads);
                     }
                     PushBody::EvalCell { task, col, acc } => {
                         w.u8(PUSH_EVAL);
@@ -632,20 +488,20 @@ impl Request {
                 w.u8(OP_BARRIER);
                 w.u32(*worker);
                 w.u64(*gen);
-                w.rng_state(*rng);
+                write_rng(&mut w, *rng);
                 w.u32(*state_crc);
                 w.u32(*params_crc);
             }
             Request::Stats => w.u8(OP_STATS),
             Request::Shutdown => w.u8(OP_SHUTDOWN),
         }
-        seal(w.into_bytes())
+        seal(body)
     }
 
     /// Parses a frame payload.
     pub fn decode(bytes: &[u8]) -> Result<Self, ProtoError> {
         let body = open(bytes)?;
-        let mut c = Cursor::new(body);
+        let mut c = Reader::new(body);
         let req = match c.u8()? {
             OP_HELLO => Request::Hello {
                 proto: c.u16()?,
@@ -663,8 +519,8 @@ impl Request {
                         shard: c.u32()?,
                         shards: c.u32()?,
                         loss: c.f32()?,
-                        rng: c.rng_state()?,
-                        grads: c.blob()?,
+                        rng: read_rng(&mut c)?,
+                        grads: c.bytes_u32()?.to_vec(),
                     },
                     PUSH_EVAL => PushBody::EvalCell {
                         task: c.u32()?,
@@ -678,7 +534,7 @@ impl Request {
             OP_BARRIER => Request::Barrier {
                 worker: c.u32()?,
                 gen: c.u64()?,
-                rng: c.rng_state()?,
+                rng: read_rng(&mut c)?,
                 state_crc: c.u32()?,
                 params_crc: c.u32()?,
             },
@@ -709,7 +565,7 @@ fn write_item(w: &mut Writer, item: &WorkItem) {
             w.u8(u8::from(*end));
             w.u64(*gen);
             params.write(w);
-            w.rng_state(*rng);
+            write_rng(w, *rng);
         }
         WorkItem::Step {
             task,
@@ -729,9 +585,12 @@ fn write_item(w: &mut Writer, item: &WorkItem) {
             w.u32(*shard);
             w.u32(*shards);
             w.f32(*lr);
-            w.u32_list(batch);
+            w.u32(batch.len() as u32);
+            for &i in batch {
+                w.u32(i);
+            }
             params.write(w);
-            w.rng_state(*rng);
+            write_rng(w, *rng);
         }
         WorkItem::Eval { task, col, params } => {
             w.u8(ITEM_EVAL);
@@ -743,7 +602,7 @@ fn write_item(w: &mut Writer, item: &WorkItem) {
     }
 }
 
-fn read_item(c: &mut Cursor) -> Result<WorkItem, ProtoError> {
+fn read_item(c: &mut Reader) -> Result<WorkItem, ProtoError> {
     Ok(match c.u8()? {
         ITEM_WAIT => WorkItem::Wait { poll_ms: c.u64()? },
         ITEM_BOUNDARY => WorkItem::Boundary {
@@ -751,7 +610,7 @@ fn read_item(c: &mut Cursor) -> Result<WorkItem, ProtoError> {
             end: c.u8()? != 0,
             gen: c.u64()?,
             params: ParamsBlob::read(c)?,
-            rng: c.rng_state()?,
+            rng: read_rng(c)?,
         },
         ITEM_STEP => WorkItem::Step {
             task: c.u32()?,
@@ -760,9 +619,12 @@ fn read_item(c: &mut Cursor) -> Result<WorkItem, ProtoError> {
             shard: c.u32()?,
             shards: c.u32()?,
             lr: c.f32()?,
-            batch: c.u32_list()?,
+            batch: {
+                let n = c.u32()?;
+                c.u32s(n.into())?
+            },
             params: ParamsBlob::read(c)?,
-            rng: c.rng_state()?,
+            rng: read_rng(c)?,
         },
         ITEM_EVAL => WorkItem::Eval {
             task: c.u32()?,
@@ -777,7 +639,8 @@ fn read_item(c: &mut Cursor) -> Result<WorkItem, ProtoError> {
 impl Response {
     /// Serializes to a frame payload.
     pub fn encode(&self) -> Vec<u8> {
-        let mut w = Writer::new();
+        let mut body = Vec::new();
+        let mut w = Writer::new(&mut body);
         match self {
             Response::Welcome {
                 worker,
@@ -827,16 +690,16 @@ impl Response {
             Response::Err { code, message } => {
                 w.u8(KIND_ERR);
                 w.u16(*code);
-                w.string(message);
+                w.bytes_u32(message.as_bytes());
             }
         }
-        seal(w.into_bytes())
+        seal(body)
     }
 
     /// Parses a frame payload.
     pub fn decode(bytes: &[u8]) -> Result<Self, ProtoError> {
         let body = open(bytes)?;
-        let mut c = Cursor::new(body);
+        let mut c = Reader::new(body);
         let resp = match c.u8()? {
             KIND_WELCOME => Response::Welcome {
                 worker: c.u32()?,
@@ -871,7 +734,7 @@ impl Response {
             }),
             KIND_ERR => Response::Err {
                 code: c.u16()?,
-                message: c.string()?,
+                message: read_string(&mut c)?,
             },
             k => return Err(ProtoError::BadKind(k)),
         };

@@ -21,7 +21,6 @@
 //! any worker after a timeout and the result is bit-identical — which
 //! is what makes reissue-on-timeout safe.
 
-use std::io::Read;
 use std::net::TcpListener;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -35,6 +34,7 @@ use edsr_data::BatchIter;
 use edsr_nn::io::params_to_bytes;
 use edsr_nn::Optimizer;
 use edsr_tensor::rng::seeded;
+use edsr_wire::PatientReader;
 use rand::rngs::StdRng;
 
 use crate::codec::{decode_tensors, encode_tensors, tensor_bits};
@@ -544,7 +544,12 @@ impl Coordinator {
             return self.fail(ERR_DIVERGED, DistError::Diverged { task, loss });
         }
         self.stats.push_bytes += payload.len() as u64;
-        let grads = match decode_tensors(payload, None) {
+        let ids: Vec<_> = self.model.params.ids().collect();
+        let lens: Vec<usize> = ids
+            .iter()
+            .map(|id| self.model.params.value(*id).len())
+            .collect();
+        let grads = match decode_tensors(payload, None, &lens) {
             Ok(g) => g,
             Err(e) => {
                 return Response::Err {
@@ -553,18 +558,6 @@ impl Coordinator {
                 }
             }
         };
-        let ids: Vec<_> = self.model.params.ids().collect();
-        if grads.len() != ids.len()
-            || ids
-                .iter()
-                .zip(&grads)
-                .any(|(id, g)| g.len() != self.model.params.value(*id).data().len())
-        {
-            return Response::Err {
-                code: ERR_BAD_REQUEST,
-                message: "gradient payload shape mismatch".into(),
-            };
-        }
         // Install, don't accumulate: `0.0 + (-0.0)` would flip the sign
         // bit of negative-zero gradient components and break bit-identity
         // downstream of the optimizer's moment buffers.
@@ -940,35 +933,10 @@ pub fn serve_ps(spec: DistSpec, cfg: PsConfig) -> Result<PsHandle, DistError> {
     })
 }
 
-/// A reader that absorbs socket read timeouts so `read_frame` never
-/// observes a mid-frame `WouldBlock` (which would drop the bytes already
-/// consumed and desynchronize the framing). Each timeout tick checks the
-/// shutdown flag instead.
-struct PatientReader<'a> {
-    stream: &'a mut std::net::TcpStream,
-    shutdown: &'a AtomicBool,
-}
-
-impl Read for PatientReader<'_> {
-    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-        loop {
-            match self.stream.read(buf) {
-                Err(e)
-                    if e.kind() == std::io::ErrorKind::WouldBlock
-                        || e.kind() == std::io::ErrorKind::TimedOut =>
-                {
-                    if self.shutdown.load(Ordering::SeqCst) {
-                        return Err(std::io::Error::new(
-                            std::io::ErrorKind::Interrupted,
-                            "server shutting down",
-                        ));
-                    }
-                }
-                r => return r,
-            }
-        }
-    }
-}
+/// How long a worker may go silent in the middle of a frame before its
+/// connection is dropped. The worker reconnects, and a work item it held
+/// is reissued after the push timeout.
+const STALL_CAP: Duration = Duration::from_secs(5);
 
 fn serve_conn(
     stream: std::net::TcpStream,
@@ -990,10 +958,7 @@ fn serve_conn(
             return;
         }
         let got = {
-            let mut reader = PatientReader {
-                stream: &mut stream,
-                shutdown: &shutdown,
-            };
+            let mut reader = PatientReader::new(&mut stream, &shutdown, STALL_CAP);
             edsr_wire::read_frame(&mut reader, &mut buf)
         };
         match got {

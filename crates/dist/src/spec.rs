@@ -10,7 +10,9 @@ use edsr_cl::{Cassle, Der, Finetune, Lump, Method, OptimizerKind, Si, TrainConfi
 use edsr_core::{CompEmb, Edsr, R2r};
 use edsr_data::{cifar100_sim, cifar10_sim, domainnet_sim, test_sim, tiny_imagenet_sim, Preset};
 
-use crate::protocol::{Cursor, ProtoError, Writer};
+use edsr_wire::{Reader, Writer};
+
+use crate::protocol::{read_string, ProtoError};
 
 /// A self-contained description of one distributed run.
 #[derive(Debug, Clone, PartialEq)]
@@ -53,8 +55,8 @@ impl DistSpec {
 
     /// Serializes onto a protocol writer.
     pub fn write(&self, w: &mut Writer) {
-        w.string(&self.preset);
-        w.string(&self.method);
+        w.bytes_u32(self.preset.as_bytes());
+        w.bytes_u32(self.method.as_bytes());
         w.u64(self.seed);
         match self.memory_total {
             Some(m) => {
@@ -79,10 +81,10 @@ impl DistSpec {
         w.f32(t.cosine_floor);
     }
 
-    /// Deserializes from a protocol cursor.
-    pub fn read(c: &mut Cursor) -> Result<Self, ProtoError> {
-        let preset = c.string()?;
-        let method = c.string()?;
+    /// Deserializes from a protocol reader.
+    pub fn read(c: &mut Reader) -> Result<Self, ProtoError> {
+        let preset = read_string(c)?;
+        let method = read_string(c)?;
         let seed = c.u64()?;
         let memory_total = match c.u8()? {
             0 => None,
@@ -162,10 +164,9 @@ mod tests {
         train.cosine_floor = 0.5;
         for memory in [None, Some(0), Some(24)] {
             let spec = DistSpec::new("test", "edsr", 42, &train, memory);
-            let mut w = Writer::new();
-            spec.write(&mut w);
-            let bytes = w.into_bytes();
-            let mut c = Cursor::new(&bytes);
+            let mut bytes = Vec::new();
+            spec.write(&mut Writer::new(&mut bytes));
+            let mut c = Reader::new(&bytes);
             let back = DistSpec::read(&mut c).unwrap();
             c.finish().unwrap();
             assert_eq!(back, spec);

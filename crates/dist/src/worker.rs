@@ -304,6 +304,11 @@ impl Worker {
     /// the XOR baseline bits.
     fn apply_params(&mut self, blob: &ParamsBlob) -> Result<(), DistError> {
         let built = self.built.as_mut().expect("built before first pull");
+        let ids: Vec<_> = built.model.params.ids().collect();
+        let lens: Vec<usize> = ids
+            .iter()
+            .map(|id| built.model.params.value(*id).len())
+            .collect();
         let decoded = match blob.base_version {
             Some(base) => {
                 if base != self.held_version || self.held_bits.is_empty() {
@@ -312,25 +317,18 @@ impl Worker {
                         self.held_version
                     )));
                 }
-                decode_tensors(&blob.payload, Some(&self.held_bits))
+                decode_tensors(&blob.payload, Some(&self.held_bits), &lens)
             }
-            None => decode_tensors(&blob.payload, None),
+            None => decode_tensors(&blob.payload, None, &lens),
         }
         .map_err(|e| DistError::Failed(format!("parameter payload: {e}")))?;
-        let ids: Vec<_> = built.model.params.ids().collect();
-        if decoded.len() != ids.len() {
-            return Err(DistError::Failed(format!(
-                "parameter payload has {} tensors, model has {}",
-                decoded.len(),
-                ids.len()
-            )));
-        }
         for (id, t) in ids.iter().zip(&decoded) {
-            let dst = built.model.params.value_mut(*id).data_mut();
-            if dst.len() != t.len() {
-                return Err(DistError::Failed("parameter payload shape mismatch".into()));
-            }
-            dst.copy_from_slice(t);
+            built
+                .model
+                .params
+                .value_mut(*id)
+                .data_mut()
+                .copy_from_slice(t);
         }
         let slices: Vec<&[f32]> = decoded.iter().map(Vec::as_slice).collect();
         self.held_bits = tensor_bits(&slices);

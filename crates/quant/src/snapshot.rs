@@ -29,10 +29,8 @@
 
 use std::path::Path;
 
-use edsr_nn::io::{
-    put_bytes, put_f32, put_i8s, put_u32, put_u64, read_envelope, write_envelope, ByteReader,
-};
 use edsr_nn::CheckpointError;
+use edsr_wire::{read_envelope, write_envelope, Reader, Writer};
 
 use crate::encoder::{QuantEncoder, QuantLinear};
 use crate::knn::{GateReport, QuantMemory};
@@ -63,50 +61,43 @@ pub struct QuantSnapshot {
     pub gate: GateReport,
 }
 
-fn put_quant_tensor(buf: &mut Vec<u8>, t: &QuantTensor) {
-    put_u32(buf, t.rows() as u32);
-    put_u32(buf, t.cols() as u32);
-    put_u64(buf, t.scales().len() as u64);
-    for &s in t.scales() {
-        put_f32(buf, s);
+fn write_quant_tensor(w: &mut Writer, t: &QuantTensor) {
+    w.u32(t.rows() as u32);
+    w.u32(t.cols() as u32);
+    w.u64(t.scales().len() as u64);
+    w.f32s(t.scales());
+    w.u64(t.data().len() as u64);
+    for &v in t.data() {
+        w.u8(v as u8);
     }
-    put_i8s(buf, t.data());
 }
 
-fn read_quant_tensor(r: &mut ByteReader) -> Result<QuantTensor, CheckpointError> {
+fn read_quant_tensor(r: &mut Reader) -> Result<QuantTensor, CheckpointError> {
     let rows = r.u32()? as usize;
     let cols = r.u32()? as usize;
-    let n_scales = r.u64()? as usize;
-    let mut scales = Vec::with_capacity(n_scales.min(1 << 20));
-    for _ in 0..n_scales {
-        scales.push(r.f32()?);
-    }
-    let data = r.i8s()?;
+    let n_scales = r.u64()?;
+    let scales = r.f32s(n_scales)?;
+    let data = r.bytes_u64()?.iter().map(|&b| b as i8).collect();
     QuantTensor::from_parts(rows, cols, data, scales).map_err(CheckpointError::Mismatch)
 }
 
-fn put_quant_linear(buf: &mut Vec<u8>, l: &QuantLinear) {
-    put_quant_tensor(buf, &l.wt);
-    put_u64(buf, l.bias.len() as u64);
-    for &b in &l.bias {
-        put_f32(buf, b);
-    }
-    put_u32(buf, l.relu as u32);
+fn write_quant_linear(w: &mut Writer, l: &QuantLinear) {
+    write_quant_tensor(w, &l.wt);
+    w.u64(l.bias.len() as u64);
+    w.f32s(&l.bias);
+    w.u32(l.relu as u32);
 }
 
-fn read_quant_linear(r: &mut ByteReader) -> Result<QuantLinear, CheckpointError> {
+fn read_quant_linear(r: &mut Reader) -> Result<QuantLinear, CheckpointError> {
     let wt = read_quant_tensor(r)?;
-    let n_bias = r.u64()? as usize;
-    if n_bias != wt.rows() {
+    let n_bias = r.u64()?;
+    if n_bias != wt.rows() as u64 {
         return Err(CheckpointError::Mismatch(format!(
             "quant layer bias count {n_bias} != {} output channels",
             wt.rows()
         )));
     }
-    let mut bias = Vec::with_capacity(n_bias);
-    for _ in 0..n_bias {
-        bias.push(r.f32()?);
-    }
+    let bias = r.f32s(n_bias)?;
     let relu = match r.u32()? {
         0 => false,
         1 => true,
@@ -119,76 +110,63 @@ fn read_quant_linear(r: &mut ByteReader) -> Result<QuantLinear, CheckpointError>
     Ok(QuantLinear { wt, bias, relu })
 }
 
+/// Reads a `u64`-counted list of quantized layers (each at least 36 bytes).
+fn read_quant_linears(r: &mut Reader) -> Result<Vec<QuantLinear>, CheckpointError> {
+    let n = r.count_u64(36)?;
+    (0..n).map(|_| read_quant_linear(r)).collect()
+}
+
 impl QuantSnapshot {
     /// Serializes to the EDSRSS02 payload (without the envelope).
     pub fn encode(&self) -> Vec<u8> {
         let mut buf = Vec::new();
-        put_u64(&mut buf, self.completed_tasks as u64);
-        put_bytes(&mut buf, self.benchmark.as_bytes());
-        put_u64(&mut buf, self.encoder.input_dims().len() as u64);
+        let mut w = Writer::new(&mut buf);
+        w.u64(self.completed_tasks as u64);
+        w.bytes_u64(self.benchmark.as_bytes());
+        w.u64(self.encoder.input_dims().len() as u64);
         for &d in self.encoder.input_dims() {
-            put_u64(&mut buf, d as u64);
+            w.u64(d as u64);
         }
-        put_u64(&mut buf, self.encoder.repr_dim() as u64);
-        put_u64(&mut buf, self.encoder.adapters().len() as u64);
-        for l in self.encoder.adapters() {
-            put_quant_linear(&mut buf, l);
+        w.u64(self.encoder.repr_dim() as u64);
+        for layers in [self.encoder.adapters(), self.encoder.chain()] {
+            w.u64(layers.len() as u64);
+            for l in layers {
+                write_quant_linear(&mut w, l);
+            }
         }
-        put_u64(&mut buf, self.encoder.chain().len() as u64);
-        for l in self.encoder.chain() {
-            put_quant_linear(&mut buf, l);
-        }
-        put_quant_tensor(&mut buf, self.memory.grid());
-        put_u64(&mut buf, self.memory_tasks.len() as u64);
+        write_quant_tensor(&mut w, self.memory.grid());
+        w.u64(self.memory_tasks.len() as u64);
         for &t in &self.memory_tasks {
-            put_u64(&mut buf, t);
+            w.u64(t);
         }
-        put_u32(&mut buf, self.f32_params_crc);
-        put_u32(&mut buf, self.f32_memory_crc);
-        put_f32(&mut buf, self.gate.f32_accuracy);
-        put_f32(&mut buf, self.gate.int8_accuracy);
+        w.u32(self.f32_params_crc);
+        w.u32(self.f32_memory_crc);
+        w.f32(self.gate.f32_accuracy);
+        w.f32(self.gate.int8_accuracy);
         buf
     }
 
     /// Decodes an EDSRSS02 payload, validating every structural invariant.
     pub fn decode(payload: &[u8]) -> Result<QuantSnapshot, CheckpointError> {
-        let mut r = ByteReader::new(payload);
+        let mut r = Reader::new(payload);
         let completed_tasks = r.u64()? as usize;
-        let benchmark = String::from_utf8(r.bytes()?.to_vec())
+        let benchmark = String::from_utf8(r.bytes_u64()?.to_vec())
             .map_err(|_| CheckpointError::Mismatch("benchmark is not utf-8".into()))?;
-        let n_dims = r.u64()? as usize;
-        let mut input_dims = Vec::with_capacity(n_dims.min(1 << 16));
-        for _ in 0..n_dims {
-            input_dims.push(r.u64()? as usize);
-        }
+        let n_dims = r.u64()?;
+        let input_dims = r.u64s(n_dims)?.into_iter().map(|d| d as usize).collect();
         let repr_dim = r.u64()? as usize;
-        let n_adapters = r.u64()? as usize;
-        let mut adapters = Vec::with_capacity(n_adapters.min(1 << 16));
-        for _ in 0..n_adapters {
-            adapters.push(read_quant_linear(&mut r)?);
-        }
-        let n_chain = r.u64()? as usize;
-        let mut chain = Vec::with_capacity(n_chain.min(1 << 16));
-        for _ in 0..n_chain {
-            chain.push(read_quant_linear(&mut r)?);
-        }
+        let adapters = read_quant_linears(&mut r)?;
+        let chain = read_quant_linears(&mut r)?;
         let grid = read_quant_tensor(&mut r)?;
-        let n_tasks = r.u64()? as usize;
-        let mut memory_tasks = Vec::with_capacity(n_tasks.min(1 << 24));
-        for _ in 0..n_tasks {
-            memory_tasks.push(r.u64()?);
-        }
+        let n_tasks = r.u64()?;
+        let memory_tasks = r.u64s(n_tasks)?;
         let f32_params_crc = r.u32()?;
         let f32_memory_crc = r.u32()?;
         let gate = GateReport {
             f32_accuracy: r.f32()?,
             int8_accuracy: r.f32()?,
         };
-        if !r.is_exhausted() {
-            return Err(CheckpointError::Mismatch(
-                "quant snapshot payload has trailing bytes".into(),
-            ));
-        }
+        r.finish()?;
         let encoder = QuantEncoder::new(input_dims, repr_dim, adapters, chain)
             .map_err(CheckpointError::Mismatch)?;
         if grid.cols() != repr_dim && grid.rows() != 0 {
@@ -219,7 +197,7 @@ impl QuantSnapshot {
     /// Writes the snapshot as a CRC-trailed envelope (fsync before the
     /// atomic rename, parent directory synced — crash-safe like v1).
     pub fn save(&self, path: impl AsRef<Path>) -> Result<(), CheckpointError> {
-        write_envelope(path, QUANT_SNAPSHOT_MAGIC, &self.encode())
+        Ok(write_envelope(path, QUANT_SNAPSHOT_MAGIC, &self.encode())?)
     }
 
     /// Reads and validates an EDSRSS02 envelope.

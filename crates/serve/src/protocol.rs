@@ -4,12 +4,14 @@
 //! length followed by the payload. Payloads open with a version byte
 //! ([`PROTOCOL_VERSION`]) and an opcode / status byte; all multi-byte
 //! integers are little-endian and all floats are IEEE-754 `f32` bit
-//! patterns — the same convention as the `nn::io` checkpoint codec, so a
-//! round-trip is bit-identical by construction.
+//! patterns, written and read through `edsr-wire`'s shared
+//! [`Reader`]/[`Writer`] codec, so a round-trip is bit-identical by
+//! construction.
 //!
 //! Decoding is total: truncated, oversized, or corrupt payloads come back
 //! as a structured [`ProtocolError`], never a panic (property-tested in
-//! this module's tests).
+//! this module's tests and, with every other decoder, in the workspace's
+//! decoder fuzz).
 //!
 //! ```text
 //! request  := version:u8 opcode:u8 body
@@ -35,6 +37,8 @@
 
 use std::fmt;
 use std::io::{Read, Write};
+
+use edsr_wire::{DecodeError, Reader, Writer};
 
 /// Wire protocol version carried in every payload.
 pub const PROTOCOL_VERSION: u8 = 3;
@@ -269,107 +273,24 @@ impl From<edsr_wire::FrameError> for ProtocolError {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Little-endian cursor primitives.
-
-struct Cursor<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        Self { buf, pos: 0 }
-    }
-
-    fn remaining(&self) -> usize {
-        self.buf.len() - self.pos
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], ProtocolError> {
-        if self.remaining() < n {
-            return Err(ProtocolError::Truncated {
-                expected: n,
-                got: self.remaining(),
-            });
-        }
-        let s = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
-    }
-
-    fn u8(&mut self) -> Result<u8, ProtocolError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u16(&mut self) -> Result<u16, ProtocolError> {
-        let b = self.take(2)?;
-        Ok(u16::from_le_bytes([b[0], b[1]]))
-    }
-
-    fn u32(&mut self) -> Result<u32, ProtocolError> {
-        let b = self.take(4)?;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-    }
-
-    fn u64(&mut self) -> Result<u64, ProtocolError> {
-        let b = self.take(8)?;
-        let mut a = [0u8; 8];
-        a.copy_from_slice(b);
-        Ok(u64::from_le_bytes(a))
-    }
-
-    fn f32(&mut self) -> Result<f32, ProtocolError> {
-        Ok(f32::from_bits(self.u32()?))
-    }
-
-    /// A `dim:u32` + `f32*dim` vector. The element count is bounds-checked
-    /// against the remaining bytes *before* allocation so a corrupt count
-    /// cannot trigger a huge reserve.
-    fn f32_vec(&mut self) -> Result<Vec<f32>, ProtocolError> {
-        let dim = self.u32()? as usize;
-        let need = dim
-            .checked_mul(4)
-            .ok_or(ProtocolError::Malformed("vector length overflow"))?;
-        if self.remaining() < need {
-            return Err(ProtocolError::Truncated {
-                expected: need,
-                got: self.remaining(),
-            });
-        }
-        let mut v = Vec::with_capacity(dim);
-        for _ in 0..dim {
-            v.push(self.f32()?);
-        }
-        Ok(v)
-    }
-
-    fn finish(&self) -> Result<(), ProtocolError> {
-        if self.remaining() == 0 {
-            Ok(())
-        } else {
-            Err(ProtocolError::Malformed("trailing bytes after message"))
+impl From<DecodeError> for ProtocolError {
+    fn from(e: DecodeError) -> Self {
+        match e {
+            DecodeError::Truncated { expected, got } => ProtocolError::Truncated { expected, got },
+            DecodeError::Trailing(_) => ProtocolError::Malformed("trailing bytes after message"),
         }
     }
 }
 
-fn put_u16(buf: &mut Vec<u8>, v: u16) {
-    buf.extend_from_slice(&v.to_le_bytes());
+/// A `dim:u32` + `f32*dim` vector.
+fn read_f32_vec(r: &mut Reader) -> Result<Vec<f32>, DecodeError> {
+    let dim = r.u32()?;
+    r.f32s(dim.into())
 }
 
-fn put_u32(buf: &mut Vec<u8>, v: u32) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(buf: &mut Vec<u8>, v: u64) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_f32_slice(buf: &mut Vec<u8>, v: &[f32]) {
-    put_u32(buf, v.len() as u32);
-    for &x in v {
-        buf.extend_from_slice(&x.to_bits().to_le_bytes());
-    }
+fn write_f32_vec(w: &mut Writer, v: &[f32]) {
+    w.u32(v.len() as u32);
+    w.f32s(v);
 }
 
 // ---------------------------------------------------------------------------
@@ -381,21 +302,20 @@ impl Request {
     /// allocation-free.
     pub fn encode_into(&self, buf: &mut Vec<u8>) {
         buf.clear();
-        buf.push(PROTOCOL_VERSION);
+        let mut w = Writer::new(buf);
+        w.u8(PROTOCOL_VERSION);
+        w.u8(self.opcode());
         match self {
             Request::Embed { task, input } => {
-                buf.push(OP_EMBED);
-                put_u32(buf, *task);
-                put_f32_slice(buf, input);
+                w.u32(*task);
+                write_f32_vec(&mut w, input);
             }
             Request::Knn { k, metric, query } => {
-                buf.push(OP_KNN);
-                put_u32(buf, *k);
-                buf.push(metric.to_byte());
-                put_f32_slice(buf, query);
+                w.u32(*k);
+                w.u8(metric.to_byte());
+                write_f32_vec(&mut w, query);
             }
-            Request::Stats => buf.push(OP_STATS),
-            Request::Shutdown => buf.push(OP_SHUTDOWN),
+            Request::Stats | Request::Shutdown => {}
         }
     }
 
@@ -408,7 +328,7 @@ impl Request {
 
     /// Decodes one request payload.
     pub fn decode(payload: &[u8]) -> Result<Self, ProtocolError> {
-        let mut c = Cursor::new(payload);
+        let mut c = Reader::new(payload);
         let version = c.u8()?;
         if version != PROTOCOL_VERSION {
             return Err(ProtocolError::BadVersion(version));
@@ -416,12 +336,12 @@ impl Request {
         let req = match c.u8()? {
             OP_EMBED => Request::Embed {
                 task: c.u32()?,
-                input: c.f32_vec()?,
+                input: read_f32_vec(&mut c)?,
             },
             OP_KNN => Request::Knn {
                 k: c.u32()?,
                 metric: WireMetric::from_byte(c.u8()?)?,
-                query: c.f32_vec()?,
+                query: read_f32_vec(&mut c)?,
             },
             OP_STATS => Request::Stats,
             OP_SHUTDOWN => Request::Shutdown,
@@ -448,54 +368,48 @@ impl Response {
     /// pipelined clients can match replies to requests.
     pub fn encode_into(&self, opcode: u8, buf: &mut Vec<u8>) {
         buf.clear();
-        buf.push(PROTOCOL_VERSION);
+        let mut w = Writer::new(buf);
+        w.u8(PROTOCOL_VERSION);
+        let status = u8::from(matches!(self, Response::Error { .. }));
+        w.u8(status);
+        w.u8(opcode);
         match self {
             Response::Error {
                 code,
                 retry_after_ms,
                 message,
             } => {
-                buf.push(1);
-                buf.push(opcode);
-                put_u16(buf, *code);
-                put_u32(buf, *retry_after_ms);
-                put_u32(buf, message.len() as u32);
-                buf.extend_from_slice(message.as_bytes());
+                w.u16(*code);
+                w.u32(*retry_after_ms);
+                w.bytes_u32(message.as_bytes());
             }
-            ok => {
-                buf.push(0);
-                buf.push(opcode);
-                match ok {
-                    Response::Embedding(v) => put_f32_slice(buf, v),
-                    Response::Neighbors(ns) => {
-                        put_u32(buf, ns.len() as u32);
-                        for n in ns {
-                            put_u64(buf, n.index);
-                            buf.extend_from_slice(&n.score.to_bits().to_le_bytes());
-                        }
-                    }
-                    Response::Stats(s) => {
-                        for v in [
-                            s.requests,
-                            s.batches,
-                            s.batched_requests,
-                            s.max_batch,
-                            s.cache_hits,
-                            s.cache_misses,
-                            s.memory_rows,
-                            s.repr_dim,
-                            s.rotations,
-                            s.rejected_deadline,
-                            s.rejected_overload,
-                            s.quantized,
-                        ] {
-                            put_u64(buf, v);
-                        }
-                    }
-                    Response::ShutdownAck => {}
-                    Response::Error { .. } => unreachable!("handled above"),
+            Response::Embedding(v) => write_f32_vec(&mut w, v),
+            Response::Neighbors(ns) => {
+                w.u32(ns.len() as u32);
+                for n in ns {
+                    w.u64(n.index);
+                    w.f32(n.score);
                 }
             }
+            Response::Stats(s) => {
+                for v in [
+                    s.requests,
+                    s.batches,
+                    s.batched_requests,
+                    s.max_batch,
+                    s.cache_hits,
+                    s.cache_misses,
+                    s.memory_rows,
+                    s.repr_dim,
+                    s.rotations,
+                    s.rejected_deadline,
+                    s.rejected_overload,
+                    s.quantized,
+                ] {
+                    w.u64(v);
+                }
+            }
+            Response::ShutdownAck => {}
         }
     }
 
@@ -508,7 +422,7 @@ impl Response {
 
     /// Decodes one response payload; returns the echoed opcode too.
     pub fn decode(payload: &[u8]) -> Result<(u8, Self), ProtocolError> {
-        let mut c = Cursor::new(payload);
+        let mut c = Reader::new(payload);
         let version = c.u8()?;
         if version != PROTOCOL_VERSION {
             return Err(ProtocolError::BadVersion(version));
@@ -519,9 +433,7 @@ impl Response {
             1 => {
                 let code = c.u16()?;
                 let retry_after_ms = c.u32()?;
-                let len = c.u32()? as usize;
-                let bytes = c.take(len)?;
-                let message = String::from_utf8(bytes.to_vec())
+                let message = String::from_utf8(c.bytes_u32()?.to_vec())
                     .map_err(|_| ProtocolError::Malformed("error message is not utf-8"))?;
                 Response::Error {
                     code,
@@ -530,18 +442,9 @@ impl Response {
                 }
             }
             0 => match opcode {
-                OP_EMBED => Response::Embedding(c.f32_vec()?),
+                OP_EMBED => Response::Embedding(read_f32_vec(&mut c)?),
                 OP_KNN => {
-                    let n = c.u32()? as usize;
-                    let need = n
-                        .checked_mul(12)
-                        .ok_or(ProtocolError::Malformed("neighbor count overflow"))?;
-                    if c.remaining() < need {
-                        return Err(ProtocolError::Truncated {
-                            expected: need,
-                            got: c.remaining(),
-                        });
-                    }
+                    let n = c.count_u32(12)?;
                     let mut ns = Vec::with_capacity(n);
                     for _ in 0..n {
                         ns.push(WireNeighbor {
@@ -730,14 +633,6 @@ mod tests {
                 let r = Request::decode(&payload[..cut]);
                 prop_assert!(r.is_err());
             }
-        }
-
-        #[test]
-        fn arbitrary_bytes_never_panic(bytes in proptest::collection::vec(any::<u8>(), 0..256)) {
-            // Decoding garbage must return Ok or a structured error — any
-            // panic fails the test harness.
-            let _ = Request::decode(&bytes);
-            let _ = Response::decode(&bytes);
         }
 
         #[test]

@@ -60,12 +60,13 @@ use std::time::{Duration, Instant};
 
 use edsr_cl::checkpoint::{load_any_serve_snapshot, AnyServeSnapshot};
 use edsr_tensor::Matrix;
+use edsr_wire::PatientReader;
 
 use crate::engine::{EmbedReport, Engine};
 use crate::fault::{FaultyStream, WireFaultPlan};
 use crate::protocol::{
-    write_frame, ProtocolError, Request, Response, StatsReply, WireNeighbor, ERR_BAD_REQUEST,
-    ERR_DEADLINE, ERR_OVERLOADED, ERR_SHUTTING_DOWN,
+    read_frame, write_frame, ProtocolError, Request, Response, StatsReply, WireNeighbor,
+    ERR_BAD_REQUEST, ERR_DEADLINE, ERR_OVERLOADED, ERR_SHUTTING_DOWN,
 };
 use crate::ServeError;
 
@@ -898,92 +899,6 @@ fn accept_loop(
     }
 }
 
-/// Reads one frame, polling the shutdown flag between frames (a read
-/// timeout only aborts the connection mid-frame after the configured
-/// stall cap — slow-loris protection).
-fn poll_frame<S: Read>(
-    stream: &mut S,
-    buf: &mut Vec<u8>,
-    shared: &ServerShared,
-) -> Result<bool, ProtocolError> {
-    let stall_cap = shared.stall_cap;
-    let mut len_bytes = [0u8; 4];
-    let mut filled = 0usize;
-    let mut stall_start: Option<Instant> = None;
-    while filled < 4 {
-        match stream.read(&mut len_bytes[filled..]) {
-            Ok(0) if filled == 0 => return Ok(false),
-            Ok(0) => {
-                return Err(ProtocolError::Truncated {
-                    expected: 4,
-                    got: filled,
-                })
-            }
-            Ok(n) => {
-                filled += n;
-                stall_start = None;
-            }
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                if filled == 0 {
-                    // Idle between frames: honour shutdown.
-                    if shared.shutdown.load(Ordering::SeqCst) {
-                        return Ok(false);
-                    }
-                } else {
-                    // Mid-frame: give the client time, but not forever.
-                    let start = *stall_start.get_or_insert_with(Instant::now);
-                    if start.elapsed() > stall_cap {
-                        return Err(ProtocolError::Truncated {
-                            expected: 4,
-                            got: filled,
-                        });
-                    }
-                }
-            }
-            Err(e) => return Err(ProtocolError::Io(e)),
-        }
-    }
-    let len = u32::from_le_bytes(len_bytes) as usize;
-    if len > crate::protocol::MAX_FRAME {
-        return Err(ProtocolError::TooLarge(len));
-    }
-    buf.clear();
-    buf.resize(len, 0);
-    let mut read = 0usize;
-    let mut stall_start: Option<Instant> = None;
-    while read < len {
-        match stream.read(&mut buf[read..]) {
-            Ok(0) => {
-                return Err(ProtocolError::Truncated {
-                    expected: len,
-                    got: read,
-                })
-            }
-            Ok(n) => {
-                read += n;
-                stall_start = None;
-            }
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                let start = *stall_start.get_or_insert_with(Instant::now);
-                if start.elapsed() > stall_cap {
-                    return Err(ProtocolError::Truncated {
-                        expected: len,
-                        got: read,
-                    });
-                }
-            }
-            Err(e) => return Err(ProtocolError::Io(e)),
-        }
-    }
-    Ok(true)
-}
-
 fn handle_connection<S: Read + Write>(
     mut stream: S,
     shared: &ServerShared,
@@ -995,7 +910,8 @@ fn handle_connection<S: Read + Write>(
     let mut out = Vec::new();
     let mut neighbors = Vec::new();
     loop {
-        match poll_frame(&mut stream, &mut frame, shared) {
+        let mut reader = PatientReader::new(&mut stream, &shared.shutdown, shared.stall_cap);
+        match read_frame(&mut reader, &mut frame) {
             Ok(false) => return,
             Ok(true) => {}
             Err(ProtocolError::Io(_)) => return, // peer went away

@@ -1,32 +1,50 @@
 //! # edsr-wire
 //!
-//! The shared wire substrate: every byte-level integrity mechanism the
-//! workspace uses, in one place. Extracted from `edsr-serve`'s protocol
-//! module and `edsr-nn`'s checkpoint IO so the serving layer and the
-//! distributed-training layer (`edsr-dist`) frame and validate bytes
-//! identically.
+//! The shared wire substrate: every byte-level mechanism the workspace
+//! uses to persist or transmit data, in one place, so parameter
+//! checkpoints, run states, serve snapshots, data shards, the serving
+//! protocol and the distributed-training protocol all frame, encode and
+//! validate bytes identically.
 //!
-//! Three building blocks:
+//! Four building blocks:
 //!
+//! - **Byte codec** ([`Reader`] / [`Writer`] / [`DecodeError`]):
+//!   fixed-width little-endian primitives, raw slices, length-prefixed
+//!   byte strings and a trailing-bytes check. Every format in the
+//!   workspace is written and parsed through this one pair; each keeps
+//!   its own field layout and length-prefix widths.
 //! - **Framing** ([`write_frame`] / [`read_frame`]): one message = a
 //!   `u32` little-endian payload length followed by the payload, with a
-//!   hard [`MAX_FRAME`] cap checked *before* allocation so a corrupt
-//!   length prefix cannot OOM a peer.
+//!   hard [`MAX_FRAME`] cap. Servers read frames from sockets with a
+//!   read timeout through [`PatientReader`], which adds the idle
+//!   shutdown check and a mid-frame stall cap.
 //! - **CRC32** ([`crc32`]): IEEE 802.3 reflected, table-driven — the
 //!   integrity check shared by file envelopes and wire payloads.
 //! - **Envelopes** ([`write_envelope`] / [`read_envelope`]): the
 //!   `magic + payload + (u64 length, u32 crc32)` on-disk format with
-//!   temp-file + fsync + atomic-rename durability, used by parameter
-//!   checkpoints, run states, and serve snapshots.
+//!   temp-file + fsync + atomic-rename durability.
 //!
-//! Consumers keep their own error types (`ProtocolError`,
-//! `CheckpointError`) and map [`FrameError`] / [`EnvelopeError`] into
-//! them variant-for-variant, so public APIs and tests above this crate
-//! are unchanged by the extraction.
+//! One rule runs through all four: **guard before allocate**. A length
+//! or count read from the wire or from disk may size an allocation only
+//! after it has been checked against the bytes that can back it — the
+//! frame cap for frames, the remaining payload for [`Reader::count`]. No
+//! input can therefore reach a panic or an allocation out of proportion
+//! to its size.
+//!
+//! Consumers keep their own error types (`ProtocolError`, `ProtoError`,
+//! `TensorCodecError`, `CheckpointError`, `DataError`) and map
+//! [`DecodeError`], [`FrameError`] and [`EnvelopeError`] into them, so
+//! public APIs above this crate do not depend on its error types.
+
+mod codec;
+
+pub use codec::{DecodeError, Reader, Writer};
 
 use std::fs::File;
 use std::io::{self, Read, Write};
 use std::path::Path;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::time::{Duration, Instant};
 
 /// Hard cap on a frame payload (16 MiB): anything larger is rejected
 /// before allocation, so a corrupt length prefix cannot OOM the peer.
@@ -124,6 +142,61 @@ pub fn read_frame(r: &mut impl Read, buf: &mut Vec<u8>) -> Result<bool, FrameErr
         }
     })?;
     Ok(true)
+}
+
+/// A [`Read`] adapter that lets [`read_frame`] poll a stream that has a
+/// read timeout, so a timeout never drops the bytes of a partly read
+/// frame. Use one adapter per frame. Between frames (before the first
+/// byte) a timeout checks `shutdown` and reports a clean EOF once it is
+/// set. Mid-frame, a peer that sends nothing for longer than `stall_cap`
+/// is cut off with an EOF, which [`read_frame`] reports as
+/// [`FrameError::Truncated`] (slow-loris protection).
+pub struct PatientReader<'a, S> {
+    stream: &'a mut S,
+    shutdown: &'a AtomicBool,
+    stall_cap: Duration,
+    mid_frame: bool,
+    stalled_since: Option<Instant>,
+}
+
+impl<'a, S: Read> PatientReader<'a, S> {
+    /// Wraps `stream` for one frame.
+    pub fn new(stream: &'a mut S, shutdown: &'a AtomicBool, stall_cap: Duration) -> Self {
+        Self {
+            stream,
+            shutdown,
+            stall_cap,
+            mid_frame: false,
+            stalled_since: None,
+        }
+    }
+}
+
+impl<S: Read> Read for PatientReader<'_, S> {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        use io::ErrorKind::{TimedOut, WouldBlock};
+        loop {
+            match self.stream.read(buf) {
+                Ok(n) => {
+                    self.mid_frame |= n > 0;
+                    self.stalled_since = None;
+                    return Ok(n);
+                }
+                Err(e) if !matches!(e.kind(), WouldBlock | TimedOut) => return Err(e),
+                Err(_) if !self.mid_frame => {
+                    if self.shutdown.load(Ordering::SeqCst) {
+                        return Ok(0);
+                    }
+                }
+                Err(_) => {
+                    let since = *self.stalled_since.get_or_insert_with(Instant::now);
+                    if since.elapsed() > self.stall_cap {
+                        return Ok(0);
+                    }
+                }
+            }
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------

@@ -9,11 +9,18 @@
 //! register tiling) rather than the dispatch. `EDSR_BENCH_QUICK=1` shrinks
 //! the size and iteration count to a smoke run.
 //!
+//! Two off-grid rows time the dispatched kernel on the shape the
+//! evaluation encodes: `30x192*192x96` (30 rows, off the 8-row register
+//! tile) against the tile-aligned `32x192*192x96`, at their real size even
+//! in quick mode.
+//!
 //! Dispatch gate: when the active ISA is not scalar, the `auto` tiled row
 //! must not be slower than the `scalar` tiled row by more than 5% at one
-//! thread — confirmed by fresh head-to-head re-measurement so shared-host
-//! transients can't trip it — else the process exits non-zero (`ci.sh`
-//! runs this as a check).
+//! thread. Off-grid gate: the 30-row product must not take more than 1.25x
+//! the 32-row one at one thread (partial tiles must run the SIMD tile, not
+//! a scalar fallback). Both compare fastest samples and are confirmed by
+//! fresh head-to-head re-measurement so shared-host transients can't trip
+//! them; a confirmed failure exits non-zero (`ci.sh` runs this as a check).
 
 use std::io::Write as _;
 use std::time::Instant;
@@ -51,18 +58,53 @@ struct Timing {
 
 fn time_ns(iters: usize, mut f: impl FnMut()) -> Timing {
     f();
-    let mut samples: Vec<f64> = (0..iters)
-        .map(|_| {
-            let t0 = Instant::now();
-            f();
-            t0.elapsed().as_nanos() as f64
-        })
-        .collect();
-    samples.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
+    timing(
+        (0..iters)
+            .map(|_| {
+                let t0 = Instant::now();
+                f();
+                t0.elapsed().as_nanos() as f64
+            })
+            .collect(),
+    )
+}
+
+/// Median and fastest of a set of wall-time samples.
+fn timing(mut samples: Vec<f64>) -> Timing {
+    samples.sort_by(f64::total_cmp);
     Timing {
         median: samples[samples.len() / 2],
         min: samples[0],
     }
+}
+
+/// Fastest of `rounds` interleaved samples per closure — one sample of each
+/// per round, so a scheduler burst lands on both alike.
+fn interleaved_mins<const N: usize>(rounds: usize, mut fs: [&mut dyn FnMut(); N]) -> [f64; N] {
+    let mut mins = [f64::INFINITY; N];
+    for _ in 0..rounds {
+        for (f, slot) in fs.iter_mut().zip(&mut mins) {
+            let t0 = Instant::now();
+            f();
+            *slot = slot.min(t0.elapsed().as_nanos() as f64);
+        }
+    }
+    mins
+}
+
+/// Re-measures an apparent gate failure three times head to head (17
+/// interleaved rounds each, one thread) and reports whether `passes`
+/// rejected the pair of fastest samples every time: a real regression
+/// reproduces on every attempt, a shared-host transient does not.
+fn confirmed(
+    mut slow: impl FnMut(),
+    mut fast: impl FnMut(),
+    passes: impl Fn(f64, f64) -> bool,
+) -> bool {
+    (0..3).all(|_| {
+        let [s, f] = edsr_par::with_threads(1, || interleaved_mins(17, [&mut slow, &mut fast]));
+        !passes(s, f)
+    })
 }
 
 fn main() -> Result<(), edsr_core::Error> {
@@ -107,7 +149,7 @@ fn main() -> Result<(), edsr_core::Error> {
     // split over the pool with the retained chunk kernels so both columns
     // see the same dispatch.
     type Naive<'m> = Box<dyn FnMut(&mut [f32]) + 'm>;
-    type Tiled<'m> = Box<dyn FnMut(&'static simd::Kernel, &mut [f32]) + 'm>;
+    type Tiled<'m> = Box<dyn Fn(&'static simd::Kernel, &mut [f32]) + 'm>;
     let mut products: Vec<(&'static str, Naive, Tiled)> = vec![
         (
             "matmul",
@@ -188,12 +230,8 @@ fn main() -> Result<(), edsr_core::Error> {
                     }
                 }
             });
-            for (&(isa, _), mut s) in isa_rows.iter().zip(samples) {
-                s.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
-                let t_tiled = Timing {
-                    median: s[s.len() / 2],
-                    min: s[0],
-                };
+            for (&(isa, _), s) in isa_rows.iter().zip(samples) {
+                let t_tiled = timing(s);
                 records.push(Record {
                     product,
                     kernel: "tiled",
@@ -213,6 +251,105 @@ fn main() -> Result<(), edsr_core::Error> {
                 break; // 1-thread host: the max-thread rows would repeat.
             }
         }
+    }
+
+    // Off-grid rows: the 30-row eval split through a 192 -> 96 layer
+    // against the tile-aligned 32-row product, both dispatched ("auto"),
+    // sampled interleaved like the rows above.
+    let (off_k, off_m) = (192usize, 96usize);
+    let off_b = Matrix::randn(off_k, off_m, 1.0, &mut rng);
+    let off_a = [30usize, 32].map(|rows| Matrix::randn(rows, off_k, 1.0, &mut rng));
+    let off_run = |a: &Matrix, naive: bool, out: &mut [f32]| {
+        let out = &mut out[..a.rows() * off_m];
+        out.fill(0.0);
+        if naive {
+            edsr_par::par_for_rows(out, a.rows(), |rows, chunk| {
+                kernel::naive::matmul_chunk(a.data(), off_b.data(), off_k, off_m, rows, chunk);
+            });
+        } else {
+            kernel::matmul_tiled(a.data(), off_b.data(), out, a.rows(), off_k, off_m);
+        }
+        std::hint::black_box(out);
+    };
+    let mut off_out = vec![0.0f32; 32 * off_m];
+    for threads in [1usize, max_threads] {
+        let mut samples: Vec<[Vec<f64>; 2]> = vec![Default::default(); off_a.len()];
+        edsr_par::with_threads(threads, || {
+            for round in 0..=iters {
+                for (s, a) in samples.iter_mut().zip(&off_a) {
+                    for (naive, s) in [true, false].into_iter().zip(s.iter_mut()) {
+                        let t0 = Instant::now();
+                        off_run(a, naive, &mut off_out);
+                        if round > 0 {
+                            s.push(t0.elapsed().as_nanos() as f64); // round 0 warms up
+                        }
+                    }
+                }
+            }
+        });
+        for (a, [naive, tiled]) in off_a.iter().zip(samples) {
+            let [t_naive, t_tiled] = [naive, tiled].map(timing);
+            let size = format!("{}x{off_k}*{off_k}x{off_m}", a.rows());
+            records.push(Record {
+                product: "matmul",
+                kernel: "naive",
+                isa: "-",
+                size: size.clone(),
+                threads,
+                ns_per_iter: t_naive.median,
+                ns_min: t_naive.min,
+                speedup_vs_naive: 1.0,
+            });
+            records.push(Record {
+                product: "matmul",
+                kernel: "tiled",
+                isa: "auto",
+                size,
+                threads,
+                ns_per_iter: t_tiled.median,
+                ns_min: t_tiled.min,
+                speedup_vs_naive: t_naive.median / t_tiled.median,
+            });
+        }
+        if max_threads == 1 {
+            break;
+        }
+    }
+
+    // Off-grid gate: partial tiles run the same SIMD tile on zero-padded
+    // panels, so 30 rows must cost about what 32 rows do at one thread. A
+    // scalar edge fallback shows up as a multiple of the aligned time.
+    let off_ns = |rows: usize| {
+        let size = format!("{rows}x{off_k}*{off_k}x{off_m}");
+        records
+            .iter()
+            .find(|r| r.size == size && r.kernel == "tiled" && r.threads == 1)
+            .map_or(f64::NAN, |r| r.ns_min)
+    };
+    let (ns30, ns32) = (off_ns(30), off_ns(32));
+    println!(
+        "off-grid: 30-row / 32-row tiled min at 1 thread = {:.2}x",
+        ns30 / ns32
+    );
+    if ns30 > ns32 * 1.25 {
+        let mut out32 = off_out.clone();
+        if confirmed(
+            || off_run(&off_a[0], false, &mut off_out),
+            || off_run(&off_a[1], false, &mut out32),
+            |t30, t32| t30 <= t32 * 1.25,
+        ) {
+            eprintln!(
+                "REGRESSION: 30x{off_k}*{off_k}x{off_m} tiled product ({ns30:.0} ns min) takes \
+                 >1.25x the tile-aligned 32-row product ({ns32:.0} ns min) with ISA {} active, \
+                 and re-measurement confirms it: partial tiles are off the SIMD path",
+                simd::active_isa().name()
+            );
+            std::process::exit(1);
+        }
+        eprintln!(
+            "note: off-grid row sampled slow ({ns30:.0} vs {ns32:.0} ns min) but re-measured \
+             clean; keeping the recorded samples"
+        );
     }
 
     // Dispatch gate: with a non-scalar ISA active, the dispatched kernel
@@ -251,30 +388,25 @@ fn main() -> Result<(), edsr_core::Error> {
             // fresh head-to-head re-measurements before failing: a real
             // dispatch regression (mis-selection, overhead in the hot
             // loop) reproduces on every attempt.
-            let tiled = &mut products
-                .iter_mut()
+            let tiled = &products
+                .iter()
                 .find(|p| p.0 == product)
                 .expect("gated products are benchmarked above")
                 .2;
-            let mut confirmed = true;
-            for _ in 0..3 {
-                let (mut s_min, mut a_min) = (f64::INFINITY, f64::INFINITY);
-                edsr_par::with_threads(1, || {
-                    for _ in 0..17 {
-                        for (kern, slot) in [(scalar_kern, &mut s_min), (auto_kern, &mut a_min)] {
-                            let t0 = Instant::now();
-                            out.fill(0.0);
-                            tiled(kern, &mut out);
-                            std::hint::black_box(&out);
-                            *slot = slot.min(t0.elapsed().as_nanos() as f64);
-                        }
-                    }
-                });
-                if a_min <= s_min * 1.05 {
-                    confirmed = false;
-                    break;
-                }
-            }
+            let mut out_auto = vec![0.0f32; n * n];
+            let confirmed = confirmed(
+                || {
+                    out_auto.fill(0.0);
+                    tiled(auto_kern, &mut out_auto);
+                    std::hint::black_box(&out_auto);
+                },
+                || {
+                    out.fill(0.0);
+                    tiled(scalar_kern, &mut out);
+                    std::hint::black_box(&out);
+                },
+                |auto, scalar| auto <= scalar * 1.05,
+            );
             if confirmed {
                 eprintln!(
                     "REGRESSION: {product} auto-dispatched tiled kernel ({auto_ns:.0} ns min) \

@@ -28,10 +28,11 @@ pub fn knn_classify(
     let query = KnnQuery::new(train_reps, k).metric(Metric::Cosine);
     let mut scratch = Vec::with_capacity(train_reps.rows());
     let mut neighbors = Vec::with_capacity(k);
+    let mut votes = vec![0.0f32; num_classes];
     let mut out = Vec::with_capacity(test_reps.rows());
     for t in 0..test_reps.rows() {
         query.search_into(test_reps.row(t), &mut scratch, &mut neighbors);
-        let mut votes = vec![0.0f32; num_classes];
+        votes.fill(0.0);
         for n in &neighbors {
             let w = (n.score / KNN_TEMPERATURE).exp();
             votes[train_labels[n.index]] += w;

@@ -408,18 +408,27 @@ mod tests {
         assert!(touched);
     }
 
+    /// The per-element value of the row-placement test. Both sides call
+    /// this one compiled copy: inlined into two different loops, `sin` may
+    /// be vectorized differently and land 1 ulp apart, which would test
+    /// the compiler instead of row placement.
+    #[inline(never)]
+    fn element(i: usize) -> f32 {
+        (i as f32).sin()
+    }
+
     #[test]
     fn par_for_rows_matches_serial_at_every_thread_count() {
         let n_rows = 13;
         let width = 5;
-        let expected: Vec<f32> = (0..n_rows * width).map(|i| (i as f32).sin()).collect();
+        let expected: Vec<f32> = (0..n_rows * width).map(element).collect();
         for threads in [1usize, 2, 7, 16] {
             let mut out = vec![0.0f32; n_rows * width];
             with_threads(threads, || {
                 par_for_rows(&mut out, n_rows, |rows, chunk| {
                     for (local, row) in rows.enumerate() {
                         for c in 0..width {
-                            chunk[local * width + c] = ((row * width + c) as f32).sin();
+                            chunk[local * width + c] = element(row * width + c);
                         }
                     }
                 });

@@ -25,7 +25,10 @@
 //! Zero-padded pack lanes only feed accumulator lanes that are never
 //! stored, so padding cannot perturb (or be perturbed by) real data —
 //! `0 * NaN` in a *live* lane still propagates, preserving the divergence
-//! guard's visibility into non-finite activations.
+//! guard's visibility into non-finite activations. Each accumulator lane
+//! reads exactly one packed row of `A` and one packed column of `B`, so a
+//! padded lane (a zero row or column, or a NaN from `0 * inf` against one)
+//! never feeds a live lane.
 //!
 //! The [`naive`] module retains the original loop kernels verbatim as the
 //! bit-exact reference (property tests) and as the small-size fast path.
@@ -37,7 +40,11 @@
 //! with `EDSR_ISA`). Every ISA's tile preserves the per-element ascending
 //! `k` order with separate multiply and add, so the bit-identity contract
 //! above holds across ISAs too, not just per ISA level. Edge tiles (partial
-//! rows/columns) stay scalar: same addition sequence, negligible time.
+//! rows/columns, e.g. a 30-row eval split or a 1-row serve embed) run the
+//! same dispatched tile on a zero-padded `MR x NR` stack copy: live `C`
+//! elements are loaded into it on resumed k-blocks, the full tile runs, and
+//! only the live elements are stored back. Off-grid products therefore cost
+//! about what the next tile-aligned size does (`--bin kernels` gates this).
 
 use crate::simd;
 use std::cell::Cell;
@@ -178,11 +185,14 @@ fn pack_lhs(
     }
 }
 
-/// Edge tile (partial rows and/or columns): same packed panels, same
-/// per-element ascending-`k` addition sequence, scalar loop. Only live
-/// elements are loaded and stored.
+/// Edge tile (partial rows and/or columns): the packed panels are already
+/// zero-padded to a full `MR x NR` tile, so the dispatched full-tile kernel
+/// runs on a stack copy of the live `C` elements and only the live
+/// `mr_eff x nr_eff` results are stored back. Padded lanes are computed and
+/// discarded; every live lane keeps its own ascending-`k` chain.
 #[allow(clippy::too_many_arguments)] // flat tile coordinates, hot path
 fn edge_tile(
+    kern: &'static simd::Kernel,
     ap: &[f32],
     bp: &[f32],
     c: &mut [f32],
@@ -191,21 +201,18 @@ fn edge_tile(
     j0: usize,
     nr_eff: usize,
     ldc: usize,
-    dc: usize,
     first: bool,
 ) {
-    for ii in 0..mr_eff {
-        for jj in 0..nr_eff {
-            let mut v = if first {
-                0.0
-            } else {
-                c[(row0 + ii) * ldc + j0 + jj]
-            };
-            for dd in 0..dc {
-                v += ap[dd * MR + ii] * bp[dd * NR + jj];
-            }
-            c[(row0 + ii) * ldc + j0 + jj] = v;
+    let mut tile = [0.0f32; MR * NR];
+    let live = |ii: usize| (row0 + ii) * ldc + j0..(row0 + ii) * ldc + j0 + nr_eff;
+    if !first {
+        for (ii, lane) in tile.chunks_exact_mut(NR).take(mr_eff).enumerate() {
+            lane[..nr_eff].copy_from_slice(&c[live(ii)]);
         }
+    }
+    (kern.tile8x16)(ap, bp, &mut tile, 0, 0, NR, first);
+    for (ii, lane) in tile.chunks_exact(NR).take(mr_eff).enumerate() {
+        c[live(ii)].copy_from_slice(&lane[..nr_eff]);
     }
 }
 
@@ -252,6 +259,7 @@ fn tiled_chunk(
                 } else {
                     let nr_eff = NR.min(c_total - j0);
                     edge_tile(
+                        kern,
                         &ap[..ap_used],
                         bp_block,
                         chunk,
@@ -260,7 +268,6 @@ fn tiled_chunk(
                         j0,
                         nr_eff,
                         c_total,
-                        dc,
                         first,
                     );
                 }
@@ -564,24 +571,43 @@ mod tests {
         }
     }
 
-    /// NaN in a packed (live) lane must propagate — padding must not.
+    /// NaN in a packed (live) lane must propagate — padding must not. The
+    /// shape makes partial row and column tiles, and the poison sits in the
+    /// second k-block so it enters through the resumed (`first == false`)
+    /// edge path. Row 0's padded column lanes turn NaN and column `m - 1`'s
+    /// padded row lanes meet `0 * inf`; storing either would corrupt a
+    /// neighbouring element, so every element is checked exactly, at every
+    /// ISA and thread count.
     #[test]
     fn tiled_propagates_nan_in_live_lanes_only() {
         let n = MR + 1; // forces a padded row edge
-        let k = 3;
+        let k = KC + 3; // forces a resumed second k-block
         let m = NR + 1; // forces a padded column edge
         let mut a = Matrix::filled(n, k, 1.0);
-        let b = Matrix::filled(k, m, 2.0);
-        a.set(0, 0, f32::NAN);
-        let mut out = vec![0.0; n * m];
-        matmul_tiled(a.data(), b.data(), &mut out, n, k, m);
-        // Row 0 is poisoned; every other element is finite.
-        for (j, v) in out.iter().enumerate().take(m) {
-            assert!(v.is_nan(), "row 0 col {j} should be NaN");
-        }
-        for i in 1..n {
-            for j in 0..m {
-                assert!(out[i * m + j].is_finite(), "({i},{j}) contaminated");
+        let mut b = Matrix::filled(k, m, 2.0);
+        a.set(0, KC + 1, f32::NAN);
+        b.set(KC + 1, m - 1, f32::INFINITY);
+        for isa in simd::Isa::ALL {
+            let Some(kern) = simd::Kernel::for_isa(isa) else {
+                continue;
+            };
+            for threads in [1usize, 2, 7] {
+                let mut out = vec![0.0; n * m];
+                edsr_par::with_threads(threads, || {
+                    matmul_tiled_with(kern, a.data(), b.data(), &mut out, n, k, m);
+                });
+                let at = format!("{} at {threads} threads", isa.name());
+                for (j, v) in out.iter().enumerate().take(m) {
+                    assert!(v.is_nan(), "row 0 col {j} should be NaN ({at})");
+                }
+                for i in 1..n {
+                    for j in 0..m - 1 {
+                        let v = out[i * m + j];
+                        assert_eq!(v, 2.0 * k as f32, "({i},{j}) contaminated ({at})");
+                    }
+                    let v = out[i * m + m - 1];
+                    assert_eq!(v, f32::INFINITY, "({i},{}) lost its inf ({at})", m - 1);
+                }
             }
         }
     }
@@ -635,6 +661,67 @@ mod proptests {
     fn isa_dim() -> impl Strategy<Value = usize> {
         let shapes = [1usize, 7, 8, 9, 15, 16, 17, 48];
         (0usize..shapes.len()).prop_map(move |i| shapes[i])
+    }
+
+    /// [`isa_dim`] plus `KC + 3`: as a reduction length it makes a second,
+    /// resumed k-block (`first == false`) on full and edge tiles alike.
+    fn isa_kdim() -> impl Strategy<Value = usize> {
+        let shapes = [1usize, 7, 8, 9, 15, 16, 17, 48, KC + 3];
+        (0usize..shapes.len()).prop_map(move |i| shapes[i])
+    }
+
+    /// All three products of `a` through `kern` at `threads`: `a·b`,
+    /// `aᵀ·a` and `a·btᵀ` (`bt` is `b` transposed, so it equals `a·b`).
+    fn isa_products(
+        kern: &'static simd::Kernel,
+        threads: usize,
+        a: &Matrix,
+        b: &Matrix,
+        bt: &[f32],
+    ) -> [Vec<f32>; 3] {
+        let (n, k, m) = (a.rows(), a.cols(), b.cols());
+        let mut ab = vec![0.0f32; n * m];
+        let mut atb = vec![0.0f32; k * k];
+        let mut abt = vec![0.0f32; n * m];
+        edsr_par::with_threads(threads, || {
+            matmul_tiled_with(kern, a.data(), b.data(), &mut ab, n, k, m);
+            transpose_matmul_tiled_with(kern, a.data(), a.data(), &mut atb, n, k, k);
+            matmul_transpose_tiled_with(kern, a.data(), bt, &mut abt, n, k, m);
+        });
+        [ab, atb, abt]
+    }
+
+    /// The row splits the continual-learning evaluation actually encodes
+    /// (30 and 150 rows through a 192 -> 96 layer) are off the `MR` grid at
+    /// every pool split, so almost all their tiles are edge tiles: every
+    /// ISA must still match the scalar kernel bit for bit.
+    #[test]
+    fn every_isa_bit_identical_on_eval_shapes() {
+        let scalar = simd::Kernel::for_isa(simd::Isa::Scalar).expect("scalar always runs");
+        let mut rng = seeded(4242);
+        for (n, k, m) in [(30usize, 192usize, 96usize), (150, 192, 96)] {
+            let a = Matrix::randn(n, k, 1.0, &mut rng);
+            let b = Matrix::randn(k, m, 1.0, &mut rng);
+            let mut bt = vec![0.0f32; k * m];
+            transpose(b.data(), &mut bt, k, m);
+            let want = isa_products(scalar, 1, &a, &b, &bt);
+            for isa in simd::Isa::ALL {
+                let Some(kern) = simd::Kernel::for_isa(isa) else {
+                    eprintln!("SKIPPING eval-shape case for {}: not supported", isa.name());
+                    continue;
+                };
+                for threads in [1usize, 2, 7] {
+                    let got = isa_products(kern, threads, &a, &b, &bt);
+                    for (name, (w, g)) in ["ab", "atb", "abt"].iter().zip(want.iter().zip(&got)) {
+                        assert!(
+                            bits_eq(w, g),
+                            "{name} {n}x{k}x{m} diverged on {} at {threads} threads",
+                            isa.name()
+                        );
+                    }
+                }
+            }
+        }
     }
 
     proptest! {
@@ -707,27 +794,21 @@ mod proptests {
         /// to the scalar micro-kernel (DESIGN.md §15): the output-stationary
         /// tile gives each lane one output element with the same ascending-k
         /// mul+add chain at every width. Shapes cover the MR=8 / NR=16 tile
-        /// edges (one-below, exact, one-above) plus a multi-tile size.
+        /// edges (one-below, exact, one-above) plus a multi-tile size; `n`
+        /// and `k` may also be `KC + 3`, so both reductions (`k` for `a·b`
+        /// and `a·bᵀ`, `n` for `aᵀ·a`) resume partial edge tiles.
         #[test]
         fn every_isa_bit_identical_to_scalar_kernel(
-            n in isa_dim(), k in isa_dim(), m in isa_dim(), seed in 0u64..=u64::MAX,
+            n in isa_kdim(), k in isa_kdim(), m in isa_dim(), seed in 0u64..=u64::MAX,
         ) {
             let scalar = simd::Kernel::for_isa(simd::Isa::Scalar)
                 .expect("scalar kernel is always supported");
             let mut rng = seeded(seed);
             let a = Matrix::randn(n, k, 1.0, &mut rng);
             let b = Matrix::randn(k, m, 1.0, &mut rng);
-            let bt = {
-                let mut t = vec![0.0f32; k * m];
-                transpose(b.data(), &mut t, k, m);
-                t // `b` as an m x k matrix, so a·btᵀ == a·b
-            };
-            let mut want_ab = vec![0.0f32; n * m];
-            matmul_tiled_with(scalar, a.data(), b.data(), &mut want_ab, n, k, m);
-            let mut want_atb = vec![0.0f32; k * k];
-            transpose_matmul_tiled_with(scalar, a.data(), a.data(), &mut want_atb, n, k, k);
-            let mut want_abt = vec![0.0f32; n * m];
-            matmul_transpose_tiled_with(scalar, a.data(), &bt, &mut want_abt, n, k, m);
+            let mut bt = vec![0.0f32; k * m];
+            transpose(b.data(), &mut bt, k, m);
+            let want = isa_products(scalar, 1, &a, &b, &bt);
             for isa in [simd::Isa::Avx2, simd::Isa::Avx512] {
                 let Some(kern) = simd::Kernel::for_isa(isa) else {
                     eprintln!(
@@ -737,33 +818,17 @@ mod proptests {
                     continue;
                 };
                 for threads in [1usize, 2, 7] {
-                    let mut got = vec![0.0f32; n * m];
-                    edsr_par::with_threads(threads, || {
-                        matmul_tiled_with(kern, a.data(), b.data(), &mut got, n, k, m);
-                    });
-                    prop_assert!(
-                        bits_eq(&want_ab, &got),
-                        "matmul {}x{}x{} diverged from scalar on {} at {} threads",
-                        n, k, m, isa.name(), threads,
-                    );
-                    let mut got = vec![0.0f32; k * k];
-                    edsr_par::with_threads(threads, || {
-                        transpose_matmul_tiled_with(kern, a.data(), a.data(), &mut got, n, k, k);
-                    });
-                    prop_assert!(
-                        bits_eq(&want_atb, &got),
-                        "transpose_matmul {}x{}x{} diverged from scalar on {} at {} threads",
-                        n, k, k, isa.name(), threads,
-                    );
-                    let mut got = vec![0.0f32; n * m];
-                    edsr_par::with_threads(threads, || {
-                        matmul_transpose_tiled_with(kern, a.data(), &bt, &mut got, n, k, m);
-                    });
-                    prop_assert!(
-                        bits_eq(&want_abt, &got),
-                        "matmul_transpose {}x{}x{} diverged from scalar on {} at {} threads",
-                        n, k, m, isa.name(), threads,
-                    );
+                    let got = isa_products(kern, threads, &a, &b, &bt);
+                    for (name, (w, g)) in ["matmul", "transpose_matmul", "matmul_transpose"]
+                        .iter()
+                        .zip(want.iter().zip(&got))
+                    {
+                        prop_assert!(
+                            bits_eq(w, g),
+                            "{} {}x{}x{} diverged from scalar on {} at {} threads",
+                            name, n, k, m, isa.name(), threads,
+                        );
+                    }
                 }
             }
         }
